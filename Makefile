@@ -74,10 +74,8 @@ bench:
 	go test -bench=. -benchmem ./...
 
 # Machine-readable results for the intra-task parallelism benchmark: runs
-# scan/aggregation/join workloads (vectorized and _rowwise baselines) at
-# 1/2/4/8 drivers and writes ns/op, per-workload speedups (relative to
-# drivers=1) and vector_speedups (vectorized vs rowwise-at-1-driver) to
-# BENCH_PR8.json. The -compare gate fails on any benchmark >20% slower than
+# scan/aggregation/join workloads at 1/2/4/8 drivers and writes ns/op and
+# per-workload speedups (relative to drivers=1) to BENCH_PR8.json. The -compare gate fails on any benchmark >20% slower than
 # the previous checked-in trajectory point (override with BENCH_BASE=).
 BENCH_BASE ?= BENCH_PR5.json
 bench-json:

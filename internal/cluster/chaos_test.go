@@ -177,8 +177,8 @@ func counter(coord *Coordinator, name string) int64 {
 	return coord.Obs().Snapshot().Counters[name]
 }
 
-// TestChaosWorkerDeathReschedules: worker 0 accepts tasks but every result
-// fetch to it fails (the deterministic stand-in for a node dying mid-query).
+// TestChaosWorkerDeathReschedules: a worker that splits are placed on
+// accepts tasks but every result fetch to it fails (the deterministic stand-in for a node dying mid-query).
 // Every query must still return the exact baseline rows, and the recovery
 // must be visible as task_retries — dead-worker splits re-executed on
 // survivors.
@@ -188,8 +188,18 @@ func TestChaosWorkerDeathReschedules(t *testing.T) {
 		t.Logf("chaos seed %d (re-run with CHAOS_SEED=%d)", seed, seed)
 		inj := fault.NewInjector(seed)
 		coord, workers := chaosCluster(t, chaosCatalogs(t, inj), 3, chaosConfig(inj))
-		inj.FaultHTTP(fault.HTTPRule{Target: workers[0].Addr(), Path: "/results", DropProb: 1})
+		// A clean pass finds a worker the queries' splits are placed on:
+		// placement hashes the kernel-picked worker ports, so any fixed
+		// worker may be given none.
+		watchdog(t, 60*time.Second, func() {
+			for _, q := range chaosQueries {
+				mustRows(t, coord, q)
+			}
+		})
+		victim := workers[busiestWorker(workers)]
+		inj.FaultHTTP(fault.HTTPRule{Target: victim.Addr(), Path: "/results", DropProb: 1})
 
+		retriesBefore := counter(coord, "task_retries")
 		watchdog(t, 60*time.Second, func() {
 			for i, q := range chaosQueries {
 				if got := mustRows(t, coord, q); got != want[i] {
@@ -197,10 +207,22 @@ func TestChaosWorkerDeathReschedules(t *testing.T) {
 				}
 			}
 		})
-		if n := counter(coord, "task_retries"); n < 1 {
+		if n := counter(coord, "task_retries") - retriesBefore; n < 1 {
 			t.Errorf("seed %d: task_retries = %d, want >= 1 (no split was rescheduled off the dead worker)", seed, n)
 		}
 	}
+}
+
+// busiestWorker returns the index of the worker that has started the most
+// tasks (the first on a tie).
+func busiestWorker(workers []*Worker) int {
+	busiest := 0
+	for i, w := range workers {
+		if w.tasksStarted.Load() > workers[busiest].tasksStarted.Load() {
+			busiest = i
+		}
+	}
+	return busiest
 }
 
 // TestChaosWorkerKilledMidQuery: a worker is actually torn down (listener

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -525,10 +524,11 @@ func (c *Coordinator) admitAndExec(session *planner.Session, q *sql.Query, query
 
 func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID string, analyze bool) (*QueryResult, string, error) {
 	c.queries.update(queryID, func(qi *QueryInfo) { qi.State = QueryPlanning; qi.Planning = c.cfg.Clock.Now() })
-	memLimit, err := queryMemoryLimit(session, c.groupFor(session))
+	opts, err := execution.ParseOptions(session.Properties)
 	if err != nil {
 		return nil, "", err
 	}
+	memLimit := queryMemoryLimit(opts, c.groupFor(session))
 	plan, err := c.planQuery(session, q)
 	if err != nil {
 		return nil, "", err
@@ -538,7 +538,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	// deliverable is the annotated plan, not the rows — and a session can opt
 	// out per query with result_cache=false.
 	resultCacheKey := ""
-	if c.resultCache != nil && !analyze && session.Property("result_cache", "true") != "false" {
+	if c.resultCache != nil && !analyze && opts.ResultCache {
 		if key, cacheable := c.resultCacheKey(plan); cacheable {
 			if hit, found := c.resultCache.Get(key); found {
 				now := c.cfg.Clock.Now()
@@ -565,12 +565,8 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	// carries the shared retry budget its remote sources draw on, the
 	// query's deadline, and the abort latch the coordinator drain trips.
 	qs := newQueryState(&c.cfg)
-	if v := session.Property("query_max_run_ms", ""); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 1 {
-			return nil, "", fmt.Errorf("cluster: bad query_max_run_ms %q: want a positive integer", v)
-		}
-		qs.deadline = c.cfg.Clock.Now().Add(time.Duration(ms) * time.Millisecond)
+	if opts.MaxRunMs > 0 {
+		qs.deadline = c.cfg.Clock.Now().Add(time.Duration(opts.MaxRunMs) * time.Millisecond)
 	}
 	c.liveMu.Lock()
 	c.live[queryID] = qs
@@ -581,33 +577,6 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 		c.liveMu.Unlock()
 	}()
 	remotes := map[int][]*taskHandle{}
-	// Intra-task parallelism requested by the session; 0 lets each worker
-	// apply its own -task-concurrency default.
-	taskDrivers := 0
-	if v := session.Property("task_concurrency", ""); v != "" {
-		d, err := strconv.Atoi(v)
-		if err != nil || d < 1 {
-			return nil, "", fmt.Errorf("cluster: bad task_concurrency %q: want a positive integer", v)
-		}
-		taskDrivers = d
-	}
-	noVector := session.Property("vectorized_execution", "true") == "false"
-	adaptiveRows := 0
-	if v := session.Property("adaptive_exchange_rows", ""); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, "", fmt.Errorf("cluster: bad adaptive_exchange_rows %q: want an integer", v)
-		}
-		adaptiveRows = r
-	}
-	bypassRows := 0
-	if v := session.Property("partial_aggregation_bypass_rows", ""); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, "", fmt.Errorf("cluster: bad partial_aggregation_bypass_rows %q: want an integer", v)
-		}
-		bypassRows = r
-	}
 	if !fp.SingleFragment() {
 		workers, err := c.waitActiveWorkers(qs)
 		if err != nil {
@@ -629,8 +598,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 			// chunk and fragment-result cache hits — degrading to the next
 			// preferred worker at the load cap. affinity_scheduling=false
 			// restores plain round-robin.
-			affinity := session.Property("affinity_scheduling", "true") != "false"
-			assignment, placed, overflow := assignSplits(splits, workers, affinity)
+			assignment, placed, overflow := assignSplits(splits, workers, opts.AffinityScheduling)
 			c.affinityPlaced.Add(int64(placed))
 			c.affinityOverflow.Add(int64(overflow))
 			snapVersion := c.fragmentSnapshotVersion(conn, frag.Scan)
@@ -640,16 +608,13 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 				}
 				taskID := fmt.Sprintf("%s.f%d.t%d", queryID, id, wi)
 				th, err := c.startTaskAnywhere(qs, workers, wi, TaskRequest{
-					TaskID:               taskID,
-					Fragment:             frag.Root,
-					TableKey:             frag.TableKey,
-					Splits:               splitSet,
-					Drivers:              taskDrivers,
-					DisableVectorized:    noVector,
-					AdaptiveExchangeRows: adaptiveRows,
-					PartialAggBypassRows: bypassRows,
-					Deadline:             deadlineNanos(qs.deadline),
-					SnapshotVersion:      snapVersion,
+					TaskID:          taskID,
+					Fragment:        frag.Root,
+					TableKey:        frag.TableKey,
+					Splits:          splitSet,
+					TaskOptions:     opts.TaskOptions,
+					Deadline:        deadlineNanos(qs.deadline),
+					SnapshotVersion: snapVersion,
 				})
 				if err != nil {
 					return nil, "", err
@@ -677,11 +642,9 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 	// limit — and, when configured, the shared spill manager.
 	rootStats := obs.NewTaskStats()
 	ctx := &execution.Context{
-		Catalogs:             c.Catalogs,
-		Stats:                rootStats,
-		DisableVectorized:    noVector,
-		AdaptiveExchangeRows: adaptiveRows,
-		PartialAggBypassRows: bypassRows,
+		Catalogs:    c.Catalogs,
+		Stats:       rootStats,
+		TaskOptions: opts.TaskOptions,
 		RemoteSources: func(fragmentID int, cols []planner.Column) (execution.Operator, error) {
 			return &remoteSourceOperator{c: c, qs: qs, tasks: remotes[fragmentID]}, nil
 		},
@@ -690,7 +653,7 @@ func (c *Coordinator) execQuery(session *planner.Session, q *sql.Query, queryID 
 		qpool := c.res.pool.Child(queryID, memLimit)
 		defer qpool.Close()
 		ctx.Memory = qpool
-		if c.res.spill != nil && session.Property("spill_enabled", "true") == "true" {
+		if c.res.spill != nil && opts.SpillEnabled {
 			ctx.Spill = c.res.spill
 		}
 	} else {

@@ -2,8 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"strconv"
 
+	"prestolite/internal/execution"
 	"prestolite/internal/obs"
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
@@ -119,18 +119,11 @@ func (c *Coordinator) groupFor(session *planner.Session) *resource.Group {
 
 // queryMemoryLimit resolves the per-query memory cap: the query_max_memory
 // session property wins, then the group's PerQueryMemory, else uncapped.
-func queryMemoryLimit(session *planner.Session, g *resource.Group) (int64, error) {
-	if v := session.Property("query_max_memory", ""); v != "" {
-		limit, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("cluster: bad query_max_memory %q: %w", v, err)
-		}
-		return limit, nil
+func queryMemoryLimit(opts execution.Options, g *resource.Group) int64 {
+	if opts.MemoryLimit > 0 || g == nil {
+		return opts.MemoryLimit
 	}
-	if g != nil {
-		return g.Config().PerQueryMemory, nil
-	}
-	return 0, nil
+	return g.Config().PerQueryMemory
 }
 
 // memFooter renders the EXPLAIN ANALYZE memory footer ("" without a memory

@@ -45,18 +45,9 @@ type TaskRequest struct {
 	Fragment planner.Node
 	TableKey string
 	Splits   []connector.Split
-	// Drivers requests a specific intra-task parallelism (the session's
-	// task_concurrency); 0 defers to the worker's own configuration.
-	Drivers int
-	// DisableVectorized pins the task to the row-at-a-time reference
-	// operators (the session's vectorized_execution=false).
-	DisableVectorized bool
-	// AdaptiveExchangeRows tunes the local exchange's skip-repartition
-	// threshold (0 = default, negative = always partition).
-	AdaptiveExchangeRows int
-	// PartialAggBypassRows tunes adaptive partial aggregation's trigger
-	// (0 = default, negative = never bypass).
-	PartialAggBypassRows int
+	// TaskOptions carries the session's intra-task tuning. Its Drivers 0
+	// defers to the worker's own configuration.
+	execution.TaskOptions
 	// Deadline is the query's deadline in unix nanoseconds (0 = none). The
 	// worker refuses tasks that arrive already expired — the last hop of the
 	// coordinator's per-RPC deadline enforcement.
@@ -439,15 +430,13 @@ func (w *Worker) runTask(req *TaskRequest, task *workerTask) {
 	defer cancel()
 	task.setCancel(cancel)
 	ctx := &execution.Context{
-		Catalogs:             w.Catalogs,
-		Splits:               map[string][]connector.Split{req.TableKey: req.Splits},
-		Stats:                task.stats,
-		Ctx:                  tctx,
-		Drivers:              w.taskDrivers(req),
-		DisableVectorized:    req.DisableVectorized,
-		AdaptiveExchangeRows: req.AdaptiveExchangeRows,
-		PartialAggBypassRows: req.PartialAggBypassRows,
+		Catalogs:    w.Catalogs,
+		Splits:      map[string][]connector.Split{req.TableKey: req.Splits},
+		Stats:       task.stats,
+		Ctx:         tctx,
+		TaskOptions: req.TaskOptions,
 	}
+	ctx.Drivers = w.taskDrivers(req)
 	if w.pool != nil {
 		// Per-task memory context: tasks share the worker pool, and a failed
 		// task cannot leak reservations past its Close.

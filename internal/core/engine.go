@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
 
 	"prestolite/internal/block"
 	"prestolite/internal/connector"
@@ -179,56 +178,24 @@ func textResult(column, text string) *Result {
 // run when the query finishes: it closes the per-query memory context so a
 // failed operator cannot leak reservations into the shared pool.
 func (e *Engine) execContext(session *planner.Session) (*execution.Context, func(), error) {
-	ctx := &execution.Context{Catalogs: e.Catalogs}
-	cleanup := func() {}
-	if v := session.Property("query_max_memory", ""); v != "" {
-		limit, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: bad query_max_memory %q: %w", v, err)
-		}
-		ctx.MemoryLimit = limit
+	opts, err := execution.ParseOptions(session.Properties)
+	if err != nil {
+		return nil, nil, err
 	}
+	ctx := &execution.Context{Catalogs: e.Catalogs, TaskOptions: opts.TaskOptions, MemoryLimit: opts.MemoryLimit}
+	cleanup := func() {}
 	if e.Mem != nil {
 		q := e.Mem.Child("query", ctx.MemoryLimit)
 		ctx.Memory = q
 		cleanup = q.Close
 	}
-	if e.Spill != nil && session.Property("spill_enabled", "true") == "true" {
+	if e.Spill != nil && opts.SpillEnabled {
 		ctx.Spill = e.Spill
 	}
-	// Intra-task parallelism: how many driver pipelines a query runs over
-	// its split queue. Defaults to the core count; task_concurrency=1 forces
-	// serial execution.
-	ctx.Drivers = runtime.NumCPU()
-	if v := session.Property("task_concurrency", ""); v != "" {
-		d, err := strconv.Atoi(v)
-		if err != nil || d < 1 {
-			return nil, nil, fmt.Errorf("core: bad task_concurrency %q: want a positive integer", v)
-		}
-		ctx.Drivers = d
-	}
-	// vectorized_execution=false pins every aggregation and join to the
-	// row-at-a-time reference operators — the escape hatch, and the oracle
-	// the equivalence suite compares the kernels against.
-	ctx.DisableVectorized = session.Property("vectorized_execution", "true") == "false"
-	// adaptive_exchange_rows tunes the local exchange's skip-repartition
-	// threshold (0 = default, negative = always partition).
-	if v := session.Property("adaptive_exchange_rows", ""); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: bad adaptive_exchange_rows %q: want an integer", v)
-		}
-		ctx.AdaptiveExchangeRows = r
-	}
-	// partial_aggregation_bypass_rows tunes how much input a partial
-	// aggregation hashes before it may switch to pass-through
-	// (0 = default, negative = never bypass).
-	if v := session.Property("partial_aggregation_bypass_rows", ""); v != "" {
-		r, err := strconv.Atoi(v)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: bad partial_aggregation_bypass_rows %q: want an integer", v)
-		}
-		ctx.PartialAggBypassRows = r
+	// Intra-task parallelism defaults to the core count; task_concurrency=1
+	// forces serial execution.
+	if ctx.Drivers == 0 {
+		ctx.Drivers = runtime.NumCPU()
 	}
 	return ctx, cleanup, nil
 }

@@ -180,7 +180,7 @@ func buildParallelScan(t *planner.TableScan, ctx *Context, n int) ([]Operator, e
 // the hot path), a hash-partition exchange routes the partials by group key,
 // and per-partition FINAL aggregations merge them. Every group key lands
 // wholly in one partition, so results are exact and each final map holds a
-// disjoint key subset. Both layers are ordinary aggregateOperators with
+// disjoint key subset. Both layers are ordinary aggregation operators with
 // their own memory handles, so spill-under-pressure works per driver.
 //
 // Grouped DISTINCT cannot pre-aggregate (seen-sets do not merge), so raw
@@ -196,7 +196,7 @@ func buildParallelAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operat
 		return nil, err
 	}
 	serial := func() ([]Operator, error) {
-		op, err := newAggOp(ctx, t, gatherOne(ctx, streams))
+		op, err := newVectorAggOperator(ctx, t, gatherOne(ctx, streams))
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +219,7 @@ func buildParallelAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operat
 			// the downstream FINAL (same contract as across tasks).
 			outs := make([]Operator, len(streams))
 			for i, s := range streams {
-				op, err := newAggOp(ctx, t, s)
+				op, err := newVectorAggOperator(ctx, t, s)
 				if err != nil {
 					return nil, err
 				}
@@ -233,7 +233,7 @@ func buildParallelAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operat
 			partial := &planner.Aggregate{Child: t.Child, GroupBy: t.GroupBy, Aggs: t.Aggs, Step: planner.AggPartial}
 			partials := make([]Operator, len(streams))
 			for i, s := range streams {
-				op, err := newAggOp(ctx, partial, s)
+				op, err := newVectorAggOperator(ctx, partial, s)
 				if err != nil {
 					return nil, err
 				}
@@ -249,7 +249,7 @@ func buildParallelAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operat
 			final := finalOverPartial(t, partial)
 			outs := make([]Operator, n)
 			for i, ep := range endpoints {
-				op, err := newAggOp(ctx, final, ep)
+				op, err := newVectorAggOperator(ctx, final, ep)
 				if err != nil {
 					return nil, err
 				}
@@ -263,7 +263,7 @@ func buildParallelAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operat
 			endpoints := newLocalExchange(ctx, streams, exPartition, t.GroupBy, n)
 			outs := make([]Operator, n)
 			for i, ep := range endpoints {
-				op, err := newAggOp(ctx, t, ep)
+				op, err := newVectorAggOperator(ctx, t, ep)
 				if err != nil {
 					return nil, err
 				}
@@ -283,7 +283,7 @@ func buildParallelAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operat
 	partial := &planner.Aggregate{Child: t.Child, Aggs: t.Aggs, Step: planner.AggPartial}
 	partials := make([]Operator, len(streams))
 	for i, s := range streams {
-		op, err := newAggOp(ctx, partial, s)
+		op, err := newVectorAggOperator(ctx, partial, s)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +297,7 @@ func buildParallelAggregate(t *planner.Aggregate, ctx *Context, n int) ([]Operat
 		return partials, nil
 	}
 	final := finalOverPartial(t, partial)
-	op, err := newAggOp(ctx, final, gatherOne(ctx, partials))
+	op, err := newVectorAggOperator(ctx, final, gatherOne(ctx, partials))
 	if err != nil {
 		return nil, err
 	}
@@ -345,14 +345,14 @@ func buildParallelJoin(t *planner.Join, ctx *Context, n int) ([]Operator, error)
 		return nil, err
 	}
 	if len(t.LeftKeys) == 0 || (len(ls) == 1 && len(rs) == 1) {
-		op := newJoinOp(ctx, t, gatherOne(ctx, ls), gatherOne(ctx, rs))
+		op := newVectorJoinOperator(ctx, t, gatherOne(ctx, ls), gatherOne(ctx, rs))
 		return []Operator{ctx.instrument(t, op)}, nil
 	}
 	buildEnds, st := newAdaptiveExchange(ctx, rs, t.RightKeys, n, exBroadcast)
 	probeEnds := newFollowerExchange(ctx, ls, t.LeftKeys, n, st)
 	outs := make([]Operator, n)
 	for i := range outs {
-		op := newJoinOp(ctx, t, probeEnds[i], buildEnds[i])
+		op := newVectorJoinOperator(ctx, t, probeEnds[i], buildEnds[i])
 		outs[i] = ctx.instrument(t, op)
 	}
 	return outs, nil

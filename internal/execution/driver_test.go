@@ -432,7 +432,7 @@ func TestBuildParallelScanEquivalence(t *testing.T) {
 	scan, conn, reg := testScan(t,
 		[]int64{1, 2, 3}, []int64{4, 5}, []int64{6}, []int64{7, 8, 9, 10})
 
-	serialCtx := &Context{Catalogs: reg, Drivers: 1}
+	serialCtx := &Context{Catalogs: reg, TaskOptions: TaskOptions{Drivers: 1}}
 	op, err := BuildParallel(scan, serialCtx)
 	if err != nil {
 		t.Fatal(err)
@@ -444,7 +444,7 @@ func TestBuildParallelScanEquivalence(t *testing.T) {
 
 	conn.opened.Store(0)
 	base := runtime.NumGoroutine()
-	parCtx := &Context{Catalogs: reg, Drivers: 4}
+	parCtx := &Context{Catalogs: reg, TaskOptions: TaskOptions{Drivers: 4}}
 	op, err = BuildParallel(scan, parCtx)
 	if err != nil {
 		t.Fatal(err)
@@ -476,7 +476,7 @@ func TestBuildParallelFilterEquivalence(t *testing.T) {
 		Child:     scan,
 		Predicate: expr.MustCall("gte", expr.NewVariable("v", 0, types.Bigint), expr.NewConstant(int64(4), types.Bigint)),
 	}
-	op, err := BuildParallel(plan, &Context{Catalogs: reg, Drivers: 3})
+	op, err := BuildParallel(plan, &Context{Catalogs: reg, TaskOptions: TaskOptions{Drivers: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +502,7 @@ func TestBuildParallelLimitStopsEarly(t *testing.T) {
 		[]int64{1, 2, 3, 4, 5}, []int64{6, 7, 8, 9, 10},
 		[]int64{11, 12, 13, 14, 15}, []int64{16, 17, 18, 19, 20})
 	plan := &planner.Limit{Child: scan, N: 7}
-	op, err := BuildParallel(plan, &Context{Catalogs: reg, Drivers: 4})
+	op, err := BuildParallel(plan, &Context{Catalogs: reg, TaskOptions: TaskOptions{Drivers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestParallelScanCancellation(t *testing.T) {
 		[]int64{1, 2, 3, 4, 5}, []int64{6, 7, 8, 9, 10},
 		[]int64{11, 12, 13, 14, 15}, []int64{16, 17, 18, 19, 20})
 	conn.delay = 2 * time.Millisecond
-	op, err := BuildParallel(scan, &Context{Catalogs: reg, Ctx: cctx, Drivers: 2})
+	op, err := BuildParallel(scan, &Context{Catalogs: reg, Ctx: cctx, TaskOptions: TaskOptions{Drivers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestParallelScanCancelledBeforeStart(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	scan, _, reg := testScan(t, []int64{1, 2, 3})
-	op, err := BuildParallel(scan, &Context{Catalogs: reg, Ctx: cctx, Drivers: 1})
+	op, err := BuildParallel(scan, &Context{Catalogs: reg, Ctx: cctx, TaskOptions: TaskOptions{Drivers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func TestBuildParallelFallsBackWithoutScan(t *testing.T) {
 	if planner.ParallelEligible(vals) {
 		t.Fatal("VALUES plan reported parallel-eligible")
 	}
-	op, err := BuildParallel(vals, &Context{Drivers: 8})
+	op, err := BuildParallel(vals, &Context{TaskOptions: TaskOptions{Drivers: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +613,7 @@ func TestAdaptiveExchangeGathersSmall(t *testing.T) {
 func TestAdaptiveExchangePartitionsLarge(t *testing.T) {
 	// Over the limit the exchange must fall back to hash partitioning: every
 	// occurrence of a key on one output, with real spread across outputs.
-	ctx := &Context{AdaptiveExchangeRows: 4}
+	ctx := &Context{TaskOptions: TaskOptions{AdaptiveExchangeRows: 4}}
 	sources := []Operator{
 		&pagesOperator{pages: []*block.Page{intPage(1, 2, 3, 4, 5, 6, 7, 8), intPage(1, 2, 3)}},
 		&pagesOperator{pages: []*block.Page{intPage(5, 6, 7, 8)}},
@@ -691,7 +691,7 @@ func TestAdaptiveExchangeBroadcastFollower(t *testing.T) {
 func TestAdaptiveExchangeFollowerPartitionsWithSameHash(t *testing.T) {
 	// A large build side partitions, and the follower must route matching
 	// keys to the same output index (the join co-location invariant).
-	ctx := &Context{AdaptiveExchangeRows: 2}
+	ctx := &Context{TaskOptions: TaskOptions{AdaptiveExchangeRows: 2}}
 	build, st := newAdaptiveExchange(ctx, []Operator{pagesOf(1, 2, 3, 4, 5, 6)}, []int{0}, 3, exBroadcast)
 	probe := newFollowerExchange(ctx, []Operator{pagesOf(1, 2, 3, 4, 5, 6)}, []int{0}, 3, st)
 
@@ -734,7 +734,7 @@ func TestAdaptiveExchangeFollowerPartitionsWithSameHash(t *testing.T) {
 }
 
 func TestAdaptiveExchangeDisabledIsPlainPartition(t *testing.T) {
-	ctx := &Context{AdaptiveExchangeRows: -1}
+	ctx := &Context{TaskOptions: TaskOptions{AdaptiveExchangeRows: -1}}
 	eps, st := newAdaptiveExchange(ctx, []Operator{pagesOf(1, 2, 3)}, []int{0}, 2, exGather)
 	if st != nil {
 		t.Fatal("disabled adaptive exchange still returned shared state")

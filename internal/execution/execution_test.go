@@ -122,7 +122,7 @@ func TestAggregateOperatorPartialFinal(t *testing.T) {
 		block.NewInt64Block([]int64{1, 1, 2}),
 		block.NewInt64Block([]int64{10, 20, 30}),
 	)
-	partialOp, err := newAggregateOperator(agg, &pagesOperator{pages: []*block.Page{input}}, &opMem{op: "test"})
+	partialOp, err := newVectorAggOperator(&Context{}, agg, &pagesOperator{pages: []*block.Page{input}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestAggregateOperatorPartialFinal(t *testing.T) {
 		}},
 		Step: planner.AggFinal,
 	}
-	finalOp, err := newAggregateOperator(finalAgg, &pagesOperator{pages: partials}, &opMem{op: "test"})
+	finalOp, err := newVectorAggOperator(&Context{}, finalAgg, &pagesOperator{pages: partials})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +169,9 @@ func TestJoinOperatorNullKeysNeverMatch(t *testing.T) {
 		Right:    &planner.Values{Cols: []planner.Column{{Name: "r", Type: types.Bigint}}},
 		LeftKeys: []int{0}, RightKeys: []int{0},
 	}
-	op := newJoinOperator(join,
+	op := newVectorJoinOperator(&Context{}, join,
 		&pagesOperator{pages: []*block.Page{left}},
-		&pagesOperator{pages: []*block.Page{right}},
-		&opMem{op: "test"})
+		&pagesOperator{pages: []*block.Page{right}})
 	pages, err := Drain(op)
 	if err != nil {
 		t.Fatal(err)

@@ -6,580 +6,42 @@ import (
 	"io"
 
 	"prestolite/internal/block"
+	"prestolite/internal/execution/vector"
 	"prestolite/internal/expr"
 	"prestolite/internal/geo"
 	"prestolite/internal/planner"
-	"prestolite/internal/resource"
-	"prestolite/internal/types"
 )
 
-// joinOperator is a hash join: the right (build) side is consumed fully into
-// a hash table, then left (probe) pages stream through. CROSS joins use a
-// nested-loop over the buffered build side.
-//
-// Under memory pressure (with spill enabled) it degrades to a multi-pass
-// join: build pages that do not fit are spilled to runs, the probe side is
-// buffered (spilling under the same pressure), and then each build chunk —
-// the leftover in-memory pages plus each spilled run — is loaded in turn,
-// its hash table rebuilt, and the whole probe stream replayed against it.
-// LEFT joins track per-probe-row match flags across passes and emit the
-// null-extended rows in a final pass. Output order in spilled mode differs
-// from the streaming path (hash-join output order is unspecified).
-type joinOperator struct {
-	node  *planner.Join
-	left  Operator
-	right Operator
-	mem   *opMem
-
-	built      bool
-	buildRows  []*rowRef
-	buildTable map[string][]*rowRef
-	buildPages []*block.Page
-
-	// Spilled-mode state.
-	spilled       bool
-	buildRuns     []*resource.Run
-	buildMemBytes int64
-	probe         *pageStream
-	probeIter     *streamIter
-	probeBase     int
-	chunkIdx      int
-	chunkBytes    int64
-	matched       []bool
-	finalLeft     bool
-
-	leftTypes  []*types.Type
-	rightTypes []*types.Type
-}
-
-type rowRef struct {
-	page *block.Page
-	row  int
-}
-
-func newJoinOperator(node *planner.Join, left, right Operator, mem *opMem) *joinOperator {
-	lo, ro := node.Left.Outputs(), node.Right.Outputs()
-	lt := make([]*types.Type, len(lo))
-	for i, c := range lo {
-		lt[i] = c.Type
-	}
-	rt := make([]*types.Type, len(ro))
-	for i, c := range ro {
-		rt[i] = c.Type
-	}
-	return &joinOperator{node: node, left: left, right: right, mem: mem, leftTypes: lt, rightTypes: rt}
-}
-
-func (o *joinOperator) build() error {
-	o.buildTable = map[string][]*rowRef{}
-	// Per-row scratch hoisted out of the build loop; the key bytes are only
-	// materialized to a string at map-insert time.
-	keys := make([]any, len(o.node.RightKeys))
-	var keyBuf []byte
-	for {
-		p, err := o.right.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if p.Count() == 0 {
-			continue
-		}
-		sz := int64(p.SizeBytes())
-		ok, err := o.mem.reserve(sz)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// First refusal flips the operator into multi-pass mode: the
-			// buffered rows go to disk and the incremental hash table is
-			// dropped — it is rebuilt per chunk while probing.
-			o.spilled = true
-			o.buildRows, o.buildTable = nil, nil
-			if err := o.spillPages(&o.buildPages, &o.buildRuns, &o.buildMemBytes, "join-build"); err != nil {
-				return err
-			}
-			if err := o.mem.hardReserve(sz); err != nil {
-				return err
-			}
-		}
-		o.buildPages = append(o.buildPages, p)
-		o.buildMemBytes += sz
-		if o.spilled {
-			continue
-		}
-		for row := 0; row < p.Count(); row++ {
-			ref := &rowRef{page: p, row: row}
-			o.buildRows = append(o.buildRows, ref)
-			if len(o.node.RightKeys) > 0 {
-				null := false
-				for i, ch := range o.node.RightKeys {
-					keys[i] = p.Blocks[ch].Value(row)
-					if keys[i] == nil {
-						null = true
-					}
-				}
-				if null {
-					continue // NULL keys never match
-				}
-				keyBuf = appendGroupKey(keyBuf[:0], keys)
-				k := string(keyBuf)
-				o.buildTable[k] = append(o.buildTable[k], ref)
-			}
-		}
-	}
-	if o.spilled {
-		// The leftover buffered pages become the last run: the multi-pass
-		// phase hard-reserves one full chunk at a time, so entering it with
-		// build pages still charged would double-count against the cap that
-		// just forced the spill.
-		if err := o.spillPages(&o.buildPages, &o.buildRuns, &o.buildMemBytes, "join-build"); err != nil {
-			return err
-		}
-		return o.bufferProbe()
-	}
-	return nil
-}
-
-// spillPages writes the given in-memory pages out as one run and frees their
-// reservation.
-func (o *joinOperator) spillPages(pages *[]*block.Page, runs *[]*resource.Run, memBytes *int64, tag string) error {
-	if len(*pages) == 0 {
-		return nil
-	}
-	w, err := o.mem.newRun(tag)
-	if err != nil {
-		return err
-	}
-	for _, p := range *pages {
-		if err := w.WritePage(p); err != nil {
-			w.Abandon()
-			return o.mem.fail(err)
-		}
-	}
-	run, err := w.Finish()
-	if err != nil {
-		return err
-	}
-	*runs = append(*runs, run)
-	o.mem.addSpilled(run.Bytes())
-	*pages = (*pages)[:0]
-	o.mem.release(*memBytes)
-	*memBytes = 0
-	return nil
-}
-
-// bufferProbe consumes the whole probe side into a replayable stream,
-// spilling under the same memory pressure as the build side.
-func (o *joinOperator) bufferProbe() error {
-	o.probe = &pageStream{}
-	var memBytes int64
-	for {
-		p, err := o.left.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if p.Count() == 0 {
-			continue
-		}
-		sz := int64(p.SizeBytes())
-		ok, err := o.mem.reserve(sz)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			if err := o.spillPages(&o.probe.pages, &o.probe.runs, &memBytes, "join-probe"); err != nil {
-				return err
-			}
-			if err := o.mem.hardReserve(sz); err != nil {
-				return err
-			}
-		}
-		o.probe.pages = append(o.probe.pages, p)
-		memBytes += sz
-	}
-	// Same reasoning as the build leftovers: chunk loading hard-reserves up
-	// to the full budget, so the probe leftovers go to disk too and are
-	// streamed back one page at a time per replay.
-	return o.spillPages(&o.probe.pages, &o.probe.runs, &memBytes, "join-probe")
-}
-
-func (o *joinOperator) Next() (*block.Page, error) {
-	if !o.built {
-		if err := o.build(); err != nil {
-			return nil, err
-		}
-		o.built = true
-	}
-	if o.spilled {
-		return o.spilledNext()
-	}
-	for {
-		p, err := o.left.Next()
-		if err != nil {
-			return nil, err
-		}
-		out, err := o.probeRows(p, 0, true)
-		if err != nil {
-			return nil, err
-		}
-		if out.Count() == 0 {
-			continue
-		}
-		return out, nil
-	}
-}
-
-// spilledNext drives the multi-pass join: one replay of the probe stream per
-// build chunk, then (for LEFT joins) a final replay emitting unmatched rows.
-func (o *joinOperator) spilledNext() (*block.Page, error) {
-	for {
-		if o.probeIter != nil {
-			p, err := o.probeIter.next()
-			if err == nil {
-				base := o.probeBase
-				o.probeBase += p.Count()
-				var out *block.Page
-				if o.finalLeft {
-					out, err = o.unmatchedPage(p, base)
-				} else {
-					o.growMatched(base + p.Count())
-					out, err = o.probeRows(p, base, false)
-				}
-				if err != nil {
-					return nil, err
-				}
-				if out.Count() > 0 {
-					return out, nil
-				}
-				continue
-			}
-			if !errors.Is(err, io.EOF) {
-				return nil, err
-			}
-			if cerr := o.probeIter.close(); cerr != nil {
-				return nil, cerr
-			}
-			o.probeIter = nil
-			o.probeBase = 0
-			o.releaseChunk()
-			if o.finalLeft {
-				return nil, io.EOF
-			}
-		}
-		ok, err := o.loadNextChunk()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			if o.node.Kind == planner.JoinLeft && !o.finalLeft {
-				o.finalLeft = true
-				o.probeIter = o.probe.iter()
-				continue
-			}
-			return nil, io.EOF
-		}
-		o.probeIter = o.probe.iter()
-	}
-}
-
-func (o *joinOperator) growMatched(n int) {
-	if o.node.Kind != planner.JoinLeft || n <= len(o.matched) {
-		return
-	}
-	o.matched = append(o.matched, make([]bool, n-len(o.matched))...)
-}
-
-// loadNextChunk advances to the next build chunk: index 0 is the leftover
-// in-memory build pages, then one chunk per spilled run (loaded back with a
-// hard reservation and removed once read). Reports false when no chunks
-// remain.
-func (o *joinOperator) loadNextChunk() (bool, error) {
-	for {
-		if o.chunkIdx == 0 {
-			o.chunkIdx++
-			if len(o.buildPages) > 0 {
-				o.rebuildTable(o.buildPages)
-				o.chunkBytes = o.buildMemBytes
-				o.buildPages, o.buildMemBytes = nil, 0
-				return true, nil
-			}
-			continue
-		}
-		if o.chunkIdx > len(o.buildRuns) {
-			return false, nil
-		}
-		run := o.buildRuns[o.chunkIdx-1]
-		o.chunkIdx++
-		rr, err := run.Open()
-		if err != nil {
-			return false, err
-		}
-		var pages []*block.Page
-		var bytes int64
-		for {
-			p, err := rr.Next()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				o.mem.release(bytes)
-				return false, errors.Join(err, rr.Close())
-			}
-			sz := int64(p.SizeBytes())
-			if err := o.mem.hardReserve(sz); err != nil {
-				o.mem.release(bytes)
-				return false, errors.Join(err, rr.Close())
-			}
-			bytes += sz
-			pages = append(pages, p)
-		}
-		if err := rr.Close(); err != nil {
-			o.mem.release(bytes)
-			return false, err
-		}
-		run.Remove()
-		if len(pages) == 0 {
-			continue
-		}
-		o.chunkBytes = bytes
-		o.rebuildTable(pages)
-		return true, nil
-	}
-}
-
-// rebuildTable constructs the hash table (and row list) over one chunk.
-func (o *joinOperator) rebuildTable(pages []*block.Page) {
-	o.buildTable = map[string][]*rowRef{}
-	o.buildRows = o.buildRows[:0]
-	keys := make([]any, len(o.node.RightKeys))
-	var keyBuf []byte
-	for _, p := range pages {
-		for row := 0; row < p.Count(); row++ {
-			ref := &rowRef{page: p, row: row}
-			o.buildRows = append(o.buildRows, ref)
-			if len(o.node.RightKeys) > 0 {
-				null := false
-				for i, ch := range o.node.RightKeys {
-					keys[i] = p.Blocks[ch].Value(row)
-					if keys[i] == nil {
-						null = true
-					}
-				}
-				if null {
-					continue // NULL keys never match
-				}
-				keyBuf = appendGroupKey(keyBuf[:0], keys)
-				k := string(keyBuf)
-				o.buildTable[k] = append(o.buildTable[k], ref)
-			}
-		}
-	}
-}
-
-// releaseChunk frees the chunk loaded by loadNextChunk.
-func (o *joinOperator) releaseChunk() {
-	o.mem.release(o.chunkBytes)
-	o.chunkBytes = 0
-	o.buildTable = nil
-	o.buildRows = nil
-}
-
-// probeRows probes one page against the current build table. In streaming
-// mode (emitLeft) unmatched LEFT rows are null-extended inline; in spilled
-// mode match flags are recorded at base+row instead, for the final pass.
-func (o *joinOperator) probeRows(p *block.Page, base int, emitLeft bool) (*block.Page, error) {
-	outTypes := append(append([]*types.Type{}, o.leftTypes...), o.rightTypes...)
-	pb := block.NewPageBuilder(outTypes)
-	combined := make([]any, len(outTypes))
-	keys := make([]any, len(o.node.LeftKeys)) // probe-key scratch, reused per row
-	var keyBuf []byte
-	for row := 0; row < p.Count(); row++ {
-		var candidates []*rowRef
-		if len(o.node.LeftKeys) > 0 {
-			null := false
-			for i, ch := range o.node.LeftKeys {
-				keys[i] = p.Blocks[ch].Value(row)
-				if keys[i] == nil {
-					null = true
-				}
-			}
-			if !null {
-				keyBuf = appendGroupKey(keyBuf[:0], keys)
-				candidates = o.buildTable[string(keyBuf)]
-			}
-		} else {
-			candidates = o.buildRows
-		}
-		matched := false
-		for c := 0; c < len(o.leftTypes); c++ {
-			combined[c] = p.Blocks[c].Value(row)
-		}
-		for _, ref := range candidates {
-			for c := 0; c < len(o.rightTypes); c++ {
-				combined[len(o.leftTypes)+c] = ref.page.Blocks[c].Value(ref.row)
-			}
-			if o.node.Residual != nil {
-				ok, err := expr.EvalRowValue(o.node.Residual, combined)
-				if err != nil {
-					return nil, err
-				}
-				if ok != true {
-					continue
-				}
-			}
-			matched = true
-			pb.AppendRow(combined)
-		}
-		if matched && !emitLeft && o.node.Kind == planner.JoinLeft {
-			o.matched[base+row] = true
-		}
-		if !matched && emitLeft && o.node.Kind == planner.JoinLeft {
-			for c := 0; c < len(o.rightTypes); c++ {
-				combined[len(o.leftTypes)+c] = nil
-			}
-			pb.AppendRow(combined)
-		}
-	}
-	return pb.Build(), nil
-}
-
-// unmatchedPage emits the null-extended rows for probe rows no chunk
-// matched (the LEFT-join final pass).
-func (o *joinOperator) unmatchedPage(p *block.Page, base int) (*block.Page, error) {
-	outTypes := append(append([]*types.Type{}, o.leftTypes...), o.rightTypes...)
-	pb := block.NewPageBuilder(outTypes)
-	combined := make([]any, len(outTypes))
-	for row := 0; row < p.Count(); row++ {
-		if base+row < len(o.matched) && o.matched[base+row] {
-			continue
-		}
-		for c := 0; c < len(o.leftTypes); c++ {
-			combined[c] = p.Blocks[c].Value(row)
-		}
-		pb.AppendRow(combined)
-	}
-	return pb.Build(), nil
-}
-
-func (o *joinOperator) Close() error {
-	var errs []error
-	if o.probeIter != nil {
-		errs = append(errs, o.probeIter.close())
-		o.probeIter = nil
-	}
-	for _, r := range o.buildRuns {
-		r.Remove()
-	}
-	if o.probe != nil {
-		for _, r := range o.probe.runs {
-			r.Remove()
-		}
-	}
-	o.mem.releaseAll()
-	errs = append(errs, o.left.Close(), o.right.Close())
-	return errors.Join(errs...)
-}
-
-// pageStream is a replayable page sequence split between spilled runs and
-// in-memory pages (runs first — they hold the earlier input, preserving the
-// original order).
-type pageStream struct {
-	runs  []*resource.Run
-	pages []*block.Page
-}
-
-func (s *pageStream) iter() *streamIter { return &streamIter{s: s} }
-
-// streamIter walks a pageStream, holding one spilled page at a time. The
-// read-back page is transient engine overhead (one bounded frame), not user
-// memory — charging it against the cap that forced the spill would deadlock
-// the replay. Runs are not removed — the stream is replayed per chunk.
-type streamIter struct {
-	s      *pageStream
-	runIdx int
-	rr     *resource.RunReader
-	memIdx int
-}
-
-func (it *streamIter) next() (*block.Page, error) {
-	for it.runIdx < len(it.s.runs) {
-		if it.rr == nil {
-			rr, err := it.s.runs[it.runIdx].Open()
-			if err != nil {
-				return nil, err
-			}
-			it.rr = rr
-		}
-		p, err := it.rr.Next()
-		if errors.Is(err, io.EOF) {
-			if cerr := it.rr.Close(); cerr != nil {
-				return nil, cerr
-			}
-			it.rr = nil
-			it.runIdx++
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-	if it.memIdx < len(it.s.pages) {
-		p := it.s.pages[it.memIdx]
-		it.memIdx++
-		return p, nil
-	}
-	return nil, io.EOF
-}
-
-func (it *streamIter) close() error {
-	if it.rr != nil {
-		err := it.rr.Close()
-		it.rr = nil
-		return err
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// geoJoinOperator: the QuadTree spatial join (§VI). Build side geofences are
-// indexed into a GeoIndex (build_geo_index on the fly); probe rows look up
-// candidate shapes via the QuadTree and verify with exact point-in-polygon.
-
+// geoJoinOperator is the QuadTree spatial join (§VI). Build side geofences
+// are indexed into a GeoIndex (build_geo_index on the fly) and the build
+// rows with a shape are compacted into column stores parallel to it; probe
+// rows look up candidate shapes via the QuadTree, verify with exact
+// point-in-polygon, and emit (probe selection, build row gather) batches
+// like the hash join.
 type geoJoinOperator struct {
 	node  *planner.GeoJoin
 	left  Operator
 	right Operator
 
-	built     bool
-	index     *geo.GeoIndex
-	buildRefs []*rowRef // parallel to index shapes
+	built bool
+	index *geo.GeoIndex
+	cols  []*vector.Column // build rows with a shape, parallel to index shapes
 
-	leftTypes  []*types.Type
-	rightTypes []*types.Type
+	probeSel  []int
+	buildRows []int32
 }
 
 func newGeoJoinOperator(node *planner.GeoJoin, left, right Operator) *geoJoinOperator {
-	lo, ro := node.Left.Outputs(), node.Right.Outputs()
-	lt := make([]*types.Type, len(lo))
-	for i, c := range lo {
-		lt[i] = c.Type
+	o := &geoJoinOperator{node: node, left: left, right: right}
+	for _, c := range node.Right.Outputs() {
+		o.cols = append(o.cols, vector.NewColumn(c.Type))
 	}
-	rt := make([]*types.Type, len(ro))
-	for i, c := range ro {
-		rt[i] = c.Type
-	}
-	return &geoJoinOperator{node: node, left: left, right: right, leftTypes: lt, rightTypes: rt}
+	return o
 }
 
 func (o *geoJoinOperator) build() error {
 	var wkts []string
+	views := newViews(len(o.cols))
 	for {
 		p, err := o.right.Next()
 		if errors.Is(err, io.EOF) {
@@ -588,13 +50,22 @@ func (o *geoJoinOperator) build() error {
 		if err != nil {
 			return err
 		}
-		for row := 0; row < p.Count(); row++ {
-			v := p.Blocks[o.node.ShapeChan].Value(row)
-			if v == nil {
-				continue
+		n := p.Count()
+		for c, col := range o.cols {
+			if err := viewOf(p.Blocks[c], col.Kind(), n, views[c]); err != nil {
+				return err
 			}
-			wkts = append(wkts, v.(string))
-			o.buildRefs = append(o.buildRefs, &rowRef{page: p, row: row})
+		}
+		shapes := p.Blocks[o.node.ShapeChan]
+		for row := 0; row < n; row++ {
+			wkt, ok := shapes.Value(row).(string)
+			if !ok {
+				continue // NULL shape
+			}
+			wkts = append(wkts, wkt)
+			for c, col := range o.cols {
+				col.AppendRow(views[c], row)
+			}
 		}
 	}
 	idx, err := geo.BuildIndex(wkts)
@@ -612,8 +83,6 @@ func (o *geoJoinOperator) Next() (*block.Page, error) {
 		}
 		o.built = true
 	}
-	outTypes := append(append([]*types.Type{}, o.leftTypes...), o.rightTypes...)
-	combined := make([]any, len(outTypes)) // scratch: AppendRow copies per value
 	for {
 		p, err := o.left.Next()
 		if err != nil {
@@ -628,31 +97,30 @@ func (o *geoJoinOperator) Next() (*block.Page, error) {
 			return nil, err
 		}
 		lngB, latB = block.Unwrap(lngB), block.Unwrap(latB)
-		pb := block.NewPageBuilder(outTypes)
+		sel, rows := o.probeSel[:0], o.buildRows[:0]
 		for row := 0; row < p.Count(); row++ {
 			lv, av := lngB.Value(row), latB.Value(row)
 			if lv == nil || av == nil {
 				continue
 			}
-			matches := o.index.Lookup(geo.Point{Lng: toF64(lv), Lat: toF64(av)})
-			if len(matches) == 0 {
-				continue
-			}
-			for c := 0; c < len(o.leftTypes); c++ {
-				combined[c] = p.Blocks[c].Value(row)
-			}
-			for _, shapeIdx := range matches {
-				ref := o.buildRefs[shapeIdx]
-				for c := 0; c < len(o.rightTypes); c++ {
-					combined[len(o.leftTypes)+c] = ref.page.Blocks[c].Value(ref.row)
-				}
-				pb.AppendRow(combined)
+			for _, shapeIdx := range o.index.Lookup(geo.Point{Lng: toF64(lv), Lat: toF64(av)}) {
+				sel = append(sel, row)
+				rows = append(rows, int32(shapeIdx))
 			}
 		}
-		if pb.Len() == 0 {
+		o.probeSel, o.buildRows = sel, rows
+		if len(sel) == 0 {
 			continue
 		}
-		return pb.Build(), nil
+		nl := len(p.Blocks)
+		blocks := make([]block.Block, nl+len(o.cols))
+		for c := 0; c < nl; c++ {
+			blocks[c] = p.Blocks[c].Mask(sel)
+		}
+		for c, col := range o.cols {
+			blocks[nl+c] = col.Gather(rows)
+		}
+		return &block.Page{Blocks: blocks, N: len(sel)}, nil
 	}
 }
 

@@ -57,27 +57,9 @@ type Context struct {
 	// cancelled task stops all of its drivers promptly. nil = never
 	// cancelled.
 	Ctx context.Context
-	// Drivers is the intra-task parallelism degree for BuildParallel: how
-	// many concurrent pipelines a task runs over its split queue (§III's
-	// drivers). ≤1 means serial; Build ignores it.
-	Drivers int
-	// DisableVectorized forces every operator onto the row-at-a-time
-	// reference implementations (session property vectorized_execution =
-	// false). The vectorized kernels are the default; the reference path
-	// exists as the behavioral oracle for the equivalence suite and as the
-	// fallback for shapes the kernels do not cover.
-	DisableVectorized bool
-	// AdaptiveExchangeRows overrides the row threshold below which a
-	// partitioned local exchange collapses to a low-cardinality plan
-	// (gather or broadcast). 0 means the default; negative disables the
-	// adaptation entirely.
-	AdaptiveExchangeRows int
-	// PartialAggBypassRows overrides how many input rows a partial
-	// aggregation hashes before checking its reduction ratio and, when
-	// nearly every row opens a new group, switching to pass-through
-	// (adaptive partial aggregation). 0 means the default; negative
-	// disables the bypass.
-	PartialAggBypassRows int
+	// TaskOptions carries the session's intra-task tuning (drivers,
+	// adaptive exchange, partial-aggregation bypass).
+	TaskOptions
 
 	// ids assigns pre-order plan-node ids, computed on the first Build call
 	// when Stats is enabled (see instrument.go).
@@ -172,7 +154,7 @@ func build(node planner.Node, ctx *Context) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newAggOp(ctx, t, child)
+		return newVectorAggOperator(ctx, t, child)
 	case *planner.Join:
 		left, err := Build(t.Left, ctx)
 		if err != nil {
@@ -182,7 +164,7 @@ func build(node planner.Node, ctx *Context) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newJoinOp(ctx, t, left, right), nil
+		return newVectorJoinOperator(ctx, t, left, right), nil
 	case *planner.GeoJoin:
 		left, err := Build(t.Left, ctx)
 		if err != nil {

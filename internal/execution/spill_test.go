@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prestolite/internal/block"
+	"prestolite/internal/expr"
 	"prestolite/internal/planner"
 	"prestolite/internal/resource"
 	"prestolite/internal/types"
@@ -130,20 +131,17 @@ func joinNode(kind planner.JoinKind) *planner.Join {
 	}
 }
 
-func testJoinSpill(t *testing.T, kind planner.JoinKind) {
+// spillJoin runs node over the given pages twice — unlimited, and under a
+// tiny cap with spill — and requires the spilled run to reproduce the
+// unspilled rows exactly, having actually spilled.
+func spillJoin(t *testing.T, node *planner.Join, probe, build []*block.Page) {
 	t.Helper()
-	node := joinNode(kind)
-	// Probe keys 0..99, build keys 0..49: LEFT joins have unmatched rows.
-	probe := twoColPages(1500, 96, 100)
-	build := twoColPages(3000, 96, 50)
-
-	baseline := drainRows(t, newJoinOperator(node,
-		&pagesOperator{pages: probe}, &pagesOperator{pages: build}, &opMem{op: "test"}))
+	baseline := drainRows(t, newVectorJoinOperator(&Context{}, node,
+		&pagesOperator{pages: probe}, &pagesOperator{pages: build}))
 
 	pool, mgr := spillEnv(t, 8<<10)
-	op := newJoinOperator(node,
-		&pagesOperator{pages: probe}, &pagesOperator{pages: build},
-		&opMem{op: "test", pool: pool, spill: mgr})
+	op := newVectorJoinOperator(&Context{Memory: pool, Spill: mgr}, node,
+		&pagesOperator{pages: probe}, &pagesOperator{pages: build})
 	got := drainRows(t, op)
 
 	// Hash-join output order is unspecified; compare as multisets.
@@ -155,8 +153,46 @@ func testJoinSpill(t *testing.T, kind planner.JoinKind) {
 	}
 }
 
+func testJoinSpill(t *testing.T, kind planner.JoinKind) {
+	t.Helper()
+	// Probe keys 0..99, build keys 0..49: LEFT joins have unmatched rows.
+	spillJoin(t, joinNode(kind), twoColPages(1500, 96, 100), twoColPages(3000, 96, 50))
+}
+
 func TestInnerJoinSpillEquivalence(t *testing.T) { testJoinSpill(t, planner.JoinInner) }
 func TestLeftJoinSpillEquivalence(t *testing.T)  { testJoinSpill(t, planner.JoinLeft) }
+
+// seqBelow is the residual lseq < rseq over joinNode's layout.
+func seqBelow(t *testing.T) expr.RowExpression {
+	t.Helper()
+	pred, err := expr.NewCall("lt",
+		expr.NewVariable("lseq", 1, types.Bigint), expr.NewVariable("rseq", 3, types.Bigint))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pred
+}
+
+// The multi-pass LEFT join with a residual: match flags must survive the
+// passes and count only rows the residual keeps, so a probe row whose
+// candidates all fail it is null-extended exactly once.
+func TestLeftJoinResidualSpillEquivalence(t *testing.T) {
+	node := joinNode(planner.JoinLeft)
+	node.Residual = seqBelow(t)
+	spillJoin(t, node, twoColPages(1500, 96, 100), twoColPages(3000, 96, 50))
+}
+
+// The multi-pass keyless join: a cross join filtered by a residual (and
+// its non-equi LEFT form) replays the probe stream against each spilled
+// chunk of the cartesian build side.
+func TestKeylessJoinSpillEquivalence(t *testing.T) {
+	for _, kind := range []planner.JoinKind{planner.JoinCross, planner.JoinLeft} {
+		node := joinNode(kind)
+		node.LeftKeys, node.RightKeys = nil, nil
+		node.Residual = seqBelow(t)
+		spillJoin(t, node, twoColPages(60, 16, 100), twoColPages(900, 96, 50))
+	}
+}
 
 func aggNode() *planner.Aggregate {
 	return &planner.Aggregate{
@@ -173,15 +209,14 @@ func aggNode() *planner.Aggregate {
 func TestAggregateSpillEquivalence(t *testing.T) {
 	input := twoColPages(4000, 128, 600) // 600 groups: real hash-table pressure
 
-	base, err := newAggregateOperator(aggNode(), &pagesOperator{pages: input}, &opMem{op: "test"})
+	base, err := newVectorAggOperator(&Context{}, aggNode(), &pagesOperator{pages: input})
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseline := drainRows(t, base)
 
 	pool, mgr := spillEnv(t, 24<<10)
-	op, err := newAggregateOperator(aggNode(), &pagesOperator{pages: input},
-		&opMem{op: "test", pool: pool, spill: mgr})
+	op, err := newVectorAggOperator(&Context{Memory: pool, Spill: mgr}, aggNode(), &pagesOperator{pages: input})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,17 +232,10 @@ func TestAggregateSpillEquivalence(t *testing.T) {
 	}
 }
 
-// Satellite (a): hash aggregation must respect the memory limit through the
-// same accounting path as join and sort — no spill manager, tiny limit, and
-// a many-group aggregation must fail typed instead of buffering unbounded.
-func TestAggregateEnforcesLimitWithoutSpill(t *testing.T) {
-	pool := resource.NewPool("query", 4<<10)
-	op, err := newAggregateOperator(aggNode(), &pagesOperator{pages: twoColPages(4000, 128, 600)},
-		&opMem{op: "hash aggregation", pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Drain(op)
+// requireInsufficient asserts err is the typed §XII.C failure caused by
+// pool exhaustion, with nothing left reserved.
+func requireInsufficient(t *testing.T, err error, pool *resource.Pool) {
+	t.Helper()
 	var insufficient ErrInsufficientResources
 	if !errors.As(err, &insufficient) {
 		t.Fatalf("want ErrInsufficientResources, got %v", err)
@@ -217,6 +245,36 @@ func TestAggregateEnforcesLimitWithoutSpill(t *testing.T) {
 	}
 	if got := pool.Reserved(); got != 0 {
 		t.Fatalf("failed aggregation leaked %d bytes", got)
+	}
+}
+
+// Satellite (a): hash aggregation must respect the memory limit through the
+// same accounting path as join and sort — no spill manager, tiny limit, and
+// a many-group aggregation must fail typed instead of buffering unbounded.
+func TestAggregateEnforcesLimitWithoutSpill(t *testing.T) {
+	pool := resource.NewPool("query", 4<<10)
+	op, err := newVectorAggOperator(&Context{Memory: pool}, aggNode(), &pagesOperator{pages: twoColPages(4000, 128, 600)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Drain(op)
+	requireInsufficient(t, err, pool)
+}
+
+// A DISTINCT aggregation cannot spill (its seen-sets would double count
+// across runs), so over the cap it fails typed even with spill enabled.
+func TestDistinctAggregateFailsOverCapWithSpill(t *testing.T) {
+	node := aggNode()
+	node.Aggs[0].Distinct = true
+	pool, mgr := spillEnv(t, 4<<10)
+	op, err := newVectorAggOperator(&Context{Memory: pool, Spill: mgr}, node, &pagesOperator{pages: twoColPages(4000, 128, 600)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Drain(op)
+	requireInsufficient(t, err, pool)
+	if pool.Spilled() != 0 {
+		t.Fatalf("DISTINCT aggregation spilled %d bytes", pool.Spilled())
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // Agg is a typed batch aggregator: one flat state slice indexed by group
 // id, updated a page at a time. Intermediate and final emissions build
 // typed blocks straight from the state slices (no boxing), and the
-// intermediate formats match the row engine's expr.AggState contract
-// exactly, so vector partials merge into row finals (and vice versa) across
-// local exchanges, spill runs, and the distributed partial/final split:
+// intermediate formats match the expr.AggState contract exactly, so typed
+// partials merge with boxed (expr.AggState) ones across local exchanges,
+// spill runs, and the distributed partial/final split:
 //
 //	count            -> int64 (never null)
 //	sum(bigint)      -> int64 or null
@@ -37,19 +37,13 @@ type Agg interface {
 }
 
 // NewAgg builds the typed aggregator for a function name and argument type
-// (nil for count(*)); ok is false for shapes the vector path does not
-// cover (DISTINCT is handled by the caller, approx_distinct and nested
-// argument types fall back to the row engine).
+// (nil for count(*)); ok is false for shapes no typed kernel covers
+// (approx_distinct, min/max over boxed types, ...). DISTINCT is the
+// caller's business: its seen-sets live outside these kernels.
 func NewAgg(name string, argType *types.Type) (Agg, bool) {
 	switch strings.ToLower(name) {
 	case "count":
-		if argType == nil {
-			return &countAgg{star: true}, true
-		}
-		if _, ok := kindOf(argType); !ok {
-			return nil, false
-		}
-		return &countAgg{}, true
+		return &countAgg{star: argType == nil}, true
 	case "sum":
 		switch argType.Kind {
 		case types.KindBigint, types.KindInteger:
@@ -59,8 +53,8 @@ func NewAgg(name string, argType *types.Type) (Agg, bool) {
 		}
 		return nil, false
 	case "min", "max":
-		k, ok := kindOf(argType)
-		if !ok {
+		k := KindOf(argType)
+		if k == KindBoxed {
 			return nil, false
 		}
 		return &minMaxAgg{kind: k, typ: argType, isMax: strings.ToLower(name) == "max"}, true
@@ -241,7 +235,7 @@ func (a *sumFloat64Agg) Reset() { a.sums, a.set = a.sums[:0], a.set[:0] }
 // minMaxAgg keeps the best value per group in a typed Column-like layout.
 // Float comparisons use real float ordering (not bit order) to match
 // expr.CompareValues: NaN never replaces a best value, and a NaN best is
-// never replaced — exactly the row engine's behavior.
+// never replaced — exactly expr's min/max state behavior.
 type minMaxAgg struct {
 	kind  Kind
 	typ   *types.Type

@@ -53,8 +53,8 @@ func CmpOpFor(name string) (CmpOp, bool) {
 }
 
 // cmpOrd applies op to an ordered pair. For floats this is IEEE ordering
-// (every comparison with NaN is false), matching the row engine's boxed
-// comparison functions.
+// (every comparison with NaN is false), matching the expression registry's
+// boxed comparison functions.
 func cmpOrd[T cmp.Ordered](op CmpOp, a, b T) bool {
 	switch op {
 	case CmpEq:

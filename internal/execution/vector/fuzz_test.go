@@ -13,6 +13,7 @@ package vector
 // digs deeper locally.
 
 import (
+	"reflect"
 	"testing"
 
 	"prestolite/internal/block"
@@ -22,6 +23,18 @@ import (
 // fuzzDampens are the stored-hash masks a fuzz input can select: production
 // (all bits), pathological (every key collides), and two small spaces.
 var fuzzDampens = []uint64{^uint64(0), 0, 0x7, 0x3f}
+
+// fuzzKeyMode is the key shape a table fuzz input runs with, selected by
+// (selector/4)%3 so the original corpus (selectors 0-3) keeps its meaning.
+type fuzzKeyMode int
+
+const (
+	fuzzBigintKey fuzzKeyMode = iota // one flat BIGINT key column
+	fuzzBoxedKey                     // one ARRAY(BIGINT) key column (KindBoxed)
+	fuzzNoKey                        // no key columns at all
+)
+
+func fuzzMode(d uint8) fuzzKeyMode { return fuzzKeyMode(d / 4 % 3) }
 
 // fuzzKey is the reference identity of one decoded key: a small int64
 // domain with deliberate duplicates, plus NULL (byte ≥ 0xf0).
@@ -53,23 +66,76 @@ func decodeKeys(chunk []byte) (*block.Int64Block, []fuzzKey) {
 	return &block.Int64Block{Values: vals, Nulls: nulls}, keys
 }
 
+// fuzzArrayType is the boxed key type: key v is the array [v, v%3].
+var fuzzArrayType = types.NewArray(types.Bigint)
+
+// decodeBatch decodes one batch of keys in the given mode into the page the
+// hasher reads and the key views the table reads.
+func decodeBatch(mode fuzzKeyMode, chunk []byte) (*block.Page, []*View, []fuzzKey) {
+	flat, keys := decodeKeys(chunk)
+	n := len(chunk)
+	switch mode {
+	case fuzzNoKey:
+		return &block.Page{N: n}, nil, keys
+	case fuzzBoxedKey:
+		vals := make([]any, n)
+		for i, k := range keys {
+			if !k.null {
+				vals[i] = []any{k.v, k.v % 3}
+			}
+		}
+		blk := block.FromValues(fuzzArrayType, vals...)
+		view := &View{}
+		Box(blk, n, view)
+		return block.NewPage(blk), []*View{view}, keys
+	default:
+		view := &View{}
+		if !Of(flat, view) {
+			panic("no view over flat int64")
+		}
+		return block.NewPage(flat), []*View{view}, keys
+	}
+}
+
+// keyTypes is the table's key schema in mode.
+func (m fuzzKeyMode) keyTypes() []*types.Type {
+	switch m {
+	case fuzzNoKey:
+		return nil
+	case fuzzBoxedKey:
+		return []*types.Type{fuzzArrayType}
+	default:
+		return []*types.Type{types.Bigint}
+	}
+}
+
+// pageKeys are the hash channels of a decoded batch.
+func (m fuzzKeyMode) pageKeys() []int {
+	if m == fuzzNoKey {
+		return nil
+	}
+	return []int{0}
+}
+
 // FuzzGroupTable drives GroupTable.Assign through random key streams —
 // duplicates, NULL keys, forced hash collisions, slot growth past the
-// initial 64, and Reset (the post-spill rebuild) — checking the key→id
-// mapping against a map: same key, same dense id; new key, next id; stored
-// keys round-trip through KeyValues.
+// initial 64, and Reset (the post-spill rebuild) — over a BIGINT key, a
+// boxed ARRAY key, or no key at all, checking the key→id mapping against a
+// map: same key, same dense id; new key, next id; stored keys round-trip
+// through KeyValues. A keyless table is the global aggregation: every row
+// is group 0.
 func FuzzGroupTable(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 2, 3, 1, 2, 3, 0xf0})
 	f.Add(uint8(1), []byte("collide-all-hashes-through-equality"))
 	f.Add(uint8(2), []byte{0, 61, 122, 0xff, 0, 61, 122}) // dup values, then Reset
+	f.Add(uint8(5), []byte{1, 2, 3, 1, 0xf0, 0xf1, 0xff, 3})
+	f.Add(uint8(8), []byte{1, 2, 0xff, 0xff, 3})
 	f.Fuzz(func(t *testing.T, d uint8, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		gt, ok := NewGroupTable([]*types.Type{types.Bigint})
-		if !ok {
-			t.Fatal("bigint key rejected")
-		}
+		mode := fuzzMode(d)
+		gt := NewGroupTable(mode.keyTypes())
 		gt.dampen = fuzzDampens[int(d)%len(fuzzDampens)]
 		ref := map[fuzzKey]int32{}
 		var hasher Hasher
@@ -81,17 +147,19 @@ func FuzzGroupTable(f *testing.F) {
 				continue
 			}
 			n := min(len(data), 32)
-			blk, keys := decodeKeys(data[:n])
+			page, views, keys := decodeBatch(mode, data[:n])
 			data = data[n:]
-			var view View
-			if !Of(blk, &view) {
-				t.Fatal("no view over flat int64")
-			}
 			hashes := make([]uint64, n)
-			hasher.HashPage(block.NewPage(blk), []int{0}, hashes)
+			hasher.HashPage(page, mode.pageKeys(), hashes)
 			ids := make([]int32, n)
-			gt.Assign([]*View{&view}, n, hashes, ids)
+			for i := range ids {
+				ids[i] = -1 // Assign must write every id (callers reuse scratch)
+			}
+			gt.Assign(views, n, hashes, ids)
 			for i, k := range keys {
+				if mode == fuzzNoKey {
+					k = fuzzKey{}
+				}
 				if want, seen := ref[k]; seen {
 					if ids[i] != want {
 						t.Fatalf("key %v: got id %d, want %d", k, ids[i], want)
@@ -107,6 +175,9 @@ func FuzzGroupTable(f *testing.F) {
 				t.Fatalf("table has %d groups, reference %d", gt.Len(), len(ref))
 			}
 		}
+		if mode == fuzzNoKey {
+			return
+		}
 		// Stored keys must round-trip: group g's key is the one that was
 		// assigned id g.
 		inv := make(map[int32]fuzzKey, len(ref))
@@ -117,85 +188,115 @@ func FuzzGroupTable(f *testing.F) {
 		for g := 0; g < gt.Len(); g++ {
 			gt.KeyValues(g, dst)
 			k := inv[int32(g)]
+			var want any
 			switch {
-			case k.null && dst[0] != nil:
-				t.Fatalf("group %d: stored %v, want NULL", g, dst[0])
-			case !k.null && dst[0] != k.v:
-				t.Fatalf("group %d: stored %v, want %d", g, dst[0], k.v)
+			case k.null:
+			case mode == fuzzBoxedKey:
+				want = []any{k.v, k.v % 3}
+			default:
+				want = k.v
+			}
+			if !reflect.DeepEqual(dst[0], want) {
+				t.Fatalf("group %d: stored %v, want %v", g, dst[0], want)
 			}
 		}
 	})
 }
 
+// fuzzProbeLimits are the per-call pair bounds a join fuzz input can select
+// with (selector/12)%4: unbounded, one pair, and two small batch sizes that
+// split chains mid-way.
+var fuzzProbeLimits = []int{1 << 30, 1, 7, 64}
+
 // FuzzJoinTable drives JoinTable.Insert/Probe through random build and
 // probe streams — duplicate keys chained through next, NULL keys on both
-// sides (never matching), forced collisions and slot growth — checking the
-// matched pairs against a map from key to build-row set.
+// sides (never matching), forced collisions and slot growth, probes resumed
+// across bounded batches — over a BIGINT key, a boxed ARRAY key, or no key
+// (the cartesian product), checking the matched pairs against a map from
+// key to build-row set.
 func FuzzJoinTable(f *testing.F) {
 	f.Add(uint8(0), []byte{1, 2, 3, 1}, []byte{1, 4, 0xf0})
 	f.Add(uint8(1), []byte("same-hash-different-keys"), []byte("probe-it-all"))
+	f.Add(uint8(17), []byte{1, 1, 1, 2, 0xf0}, []byte{1, 2, 0xf1})
+	f.Add(uint8(32), []byte{1, 0xf0, 3}, []byte{9, 0xf0})
 	f.Fuzz(func(t *testing.T, d uint8, buildData, probeData []byte) {
-		if len(buildData) > 2048 {
-			buildData = buildData[:2048]
+		mode := fuzzMode(d)
+		maxLen := 2048
+		if mode == fuzzNoKey {
+			maxLen = 256 // every pair matches: keep the product small
 		}
-		if len(probeData) > 2048 {
-			probeData = probeData[:2048]
+		if len(buildData) > maxLen {
+			buildData = buildData[:maxLen]
 		}
-		col, ok := NewColumn(types.Bigint)
-		if !ok {
-			t.Fatal("bigint column rejected")
+		if len(probeData) > maxLen {
+			probeData = probeData[:maxLen]
 		}
-		jt := NewJoinTable([]*Column{col})
+		limit := fuzzProbeLimits[int(d/12)%len(fuzzProbeLimits)]
+		var keyCols []*Column
+		for _, kt := range mode.keyTypes() {
+			keyCols = append(keyCols, NewColumn(kt))
+		}
+		jt := NewJoinTable(keyCols)
 		jt.dampen = fuzzDampens[int(d)%len(fuzzDampens)]
-		ref := map[int64]map[int32]bool{}
+		// ref maps a key to its build rows; a keyless table has one key.
+		ref := map[fuzzKey]map[int32]bool{}
 		var hasher Hasher
 		base := 0
 		for len(buildData) > 0 {
 			n := min(len(buildData), 32)
-			blk, keys := decodeKeys(buildData[:n])
+			page, views, keys := decodeBatch(mode, buildData[:n])
 			buildData = buildData[n:]
-			var view View
-			Of(blk, &view)
 			hashes := make([]uint64, n)
-			hasher.HashPage(block.NewPage(blk), []int{0}, hashes)
-			col.Append(&view, n)
-			jt.Insert([]*View{&view}, n, hashes, base)
+			hasher.HashPage(page, mode.pageKeys(), hashes)
+			for c, col := range keyCols {
+				col.Append(views[c], n)
+			}
+			jt.Insert(views, n, hashes, base)
 			for i, k := range keys {
-				if k.null {
+				if mode == fuzzNoKey {
+					k = fuzzKey{}
+				} else if k.null {
 					continue
 				}
-				if ref[k.v] == nil {
-					ref[k.v] = map[int32]bool{}
+				if ref[k] == nil {
+					ref[k] = map[int32]bool{}
 				}
-				ref[k.v][int32(base+i)] = true
+				ref[k][int32(base+i)] = true
 			}
 			base += n
 		}
 		for len(probeData) > 0 {
 			n := min(len(probeData), 32)
-			blk, keys := decodeKeys(probeData[:n])
+			page, views, keys := decodeBatch(mode, probeData[:n])
 			probeData = probeData[n:]
-			var view View
-			Of(blk, &view)
 			hashes := make([]uint64, n)
-			hasher.HashPage(block.NewPage(blk), []int{0}, hashes)
-			matched := make([]bool, n)
-			probeSel, buildRows := jt.Probe([]*View{&view}, n, hashes, nil, nil, matched)
+			hasher.HashPage(page, mode.pageKeys(), hashes)
 			got := make([]map[int32]bool, n)
-			for i := range probeSel {
-				r := probeSel[i]
-				if got[r] == nil {
-					got[r] = map[int32]bool{}
+			var cur ProbeCursor
+			for done := false; !done; {
+				var probeSel []int
+				var buildRows []int32
+				probeSel, buildRows, done = jt.Probe(views, n, hashes, &cur, limit, nil, nil)
+				if len(probeSel) > limit || len(buildRows) != len(probeSel) {
+					t.Fatalf("probe batch of %d/%d pairs, limit %d", len(probeSel), len(buildRows), limit)
 				}
-				if got[r][buildRows[i]] {
-					t.Fatalf("probe row %d matched build row %d twice", r, buildRows[i])
+				for i, r := range probeSel {
+					if got[r] == nil {
+						got[r] = map[int32]bool{}
+					}
+					if got[r][buildRows[i]] {
+						t.Fatalf("probe row %d matched build row %d twice", r, buildRows[i])
+					}
+					got[r][buildRows[i]] = true
 				}
-				got[r][buildRows[i]] = true
 			}
 			for r, k := range keys {
+				if mode == fuzzNoKey {
+					k = fuzzKey{}
+				}
 				var want map[int32]bool
 				if !k.null {
-					want = ref[k.v]
+					want = ref[k]
 				}
 				if len(got[r]) != len(want) {
 					t.Fatalf("probe row %d (key %v): %d matches, want %d", r, k, len(got[r]), len(want))
@@ -204,9 +305,6 @@ func FuzzJoinTable(f *testing.F) {
 					if !got[r][row] {
 						t.Fatalf("probe row %d (key %v): missing build row %d", r, k, row)
 					}
-				}
-				if matched[r] != (len(want) > 0) {
-					t.Fatalf("probe row %d (key %v): matched=%v, want %v", r, k, matched[r], len(want) > 0)
 				}
 			}
 		}

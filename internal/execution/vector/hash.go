@@ -52,8 +52,8 @@ func hashBool(b bool) uint64 {
 // fallback — that invariant is what keeps partition routing consistent
 // across pages and across both sides of a join, and what lets the group
 // table compare pre-hashed keys from differently encoded pages. Floats hash
-// (and compare) by bit pattern, matching the row engine's encoded group
-// keys, so NaN groups with NaN and -0.0 stays distinct from +0.0.
+// (and compare) by bit pattern, matching the AppendKey group-key
+// encoding, so NaN groups with NaN and -0.0 stays distinct from +0.0.
 //
 // The zero Hasher is ready to use; it holds reusable scratch (dictionary
 // hash vectors, a byte buffer for rare compound values) so hashing a page

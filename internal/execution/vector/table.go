@@ -12,7 +12,7 @@ const initialSlots = 64
 // group keys to dense group ids 0..Len()-1. Keys live in typed Column
 // stores and rows arrive pre-hashed, so assigning a batch of rows does no
 // per-row interface dispatch and no per-row key encoding — the two costs
-// that dominate the row-at-a-time aggregation path.
+// that dominate row-at-a-time hash aggregation.
 type GroupTable struct {
 	cols   []*Column
 	hashes []uint64 // per group
@@ -23,20 +23,16 @@ type GroupTable struct {
 	dampen uint64
 }
 
-// NewGroupTable builds a table keyed by the given column types; ok is false
-// when any key type is outside the vector kernels.
-func NewGroupTable(keyTypes []*types.Type) (*GroupTable, bool) {
+// NewGroupTable builds a table keyed by the given column types. With no
+// key types it is the global aggregation's table: every row maps to group 0.
+func NewGroupTable(keyTypes []*types.Type) *GroupTable {
 	t := &GroupTable{dampen: ^uint64(0)}
 	for _, kt := range keyTypes {
-		c, ok := NewColumn(kt)
-		if !ok {
-			return nil, false
-		}
-		t.cols = append(t.cols, c)
+		t.cols = append(t.cols, newKeyColumn(kt))
 	}
 	t.slots = newSlots(initialSlots)
 	t.mask = initialSlots - 1
-	return t, true
+	return t
 }
 
 func newSlots(n int) []int32 {
@@ -71,6 +67,13 @@ func (t *GroupTable) KeyBytes() int64 {
 // Assign maps each of the n pre-hashed rows (key columns in views) to its
 // group id, creating groups for unseen keys. ids[:n] receives the mapping.
 func (t *GroupTable) Assign(views []*View, n int, hashes []uint64, ids []int32) {
+	if len(t.cols) == 0 {
+		if n > 0 && len(t.hashes) == 0 {
+			t.hashes = append(t.hashes, 0)
+		}
+		clear(ids[:n])
+		return
+	}
 	for r := 0; r < n; r++ {
 		h := hashes[r] & t.dampen
 		slot := h & t.mask
@@ -137,8 +140,7 @@ func (t *GroupTable) KeyValues(g int, dst []any) {
 // rebuild).
 func (t *GroupTable) Reset() {
 	for i, c := range t.cols {
-		nc, _ := NewColumn(c.typ)
-		t.cols[i] = nc
+		t.cols[i] = newKeyColumn(c.typ)
 	}
 	t.hashes = t.hashes[:0]
 	t.slots = newSlots(initialSlots)
@@ -150,7 +152,9 @@ func (t *GroupTable) Reset() {
 // JoinTable maps join keys to chains of build-side row indices. The build
 // rows themselves live in the caller's Column stores; the table keeps one
 // entry per distinct key (hash + first row) and threads equal-keyed rows
-// through next, so probing walks an int32 chain instead of a []*rowRef.
+// through next, so probing walks an int32 chain instead of per-row page
+// references. A keyless table (no key columns) chains every build row under
+// one entry: probing it enumerates the cartesian product.
 type JoinTable struct {
 	keyCols []*Column // the caller's key-column stores (shared, not owned)
 	hashes  []uint64  // per entry
@@ -161,9 +165,13 @@ type JoinTable struct {
 	dampen  uint64
 }
 
-// NewJoinTable builds a table over the given key-column stores (the build
-// side's key channels, shared with its output store).
+// NewJoinTable builds a table over the given empty key-column stores (the
+// build side's key channels, shared with its output store) and marks them
+// as key columns.
 func NewJoinTable(keyCols []*Column) *JoinTable {
+	for _, c := range keyCols {
+		c.keyed = true
+	}
 	return &JoinTable{
 		keyCols: keyCols,
 		slots:   newSlots(initialSlots),
@@ -248,35 +256,55 @@ func nullKey(views []*View, r int) bool {
 	return false
 }
 
-// Probe matches n pre-hashed probe rows (key columns in views) against the
+// ProbeCursor is where a bounded Probe over one probe batch stopped. The
+// zero value starts at the batch's first row.
+type ProbeCursor struct {
+	r       int   // current probe row
+	row     int32 // next build row of r's chain, when inChain
+	inChain bool
+}
+
+// Probe matches pre-hashed probe rows (key columns in views) against the
 // table, appending one (probe row, build row) pair per match to probeSel
-// and buildRows. matched (when non-nil, length ≥ n) records probe rows with
-// at least one match — the LEFT-join null-extension input. Probe rows with
-// null keys never match.
-func (jt *JoinTable) Probe(views []*View, n int, hashes []uint64, probeSel []int, buildRows []int32, matched []bool) ([]int, []int32) {
-	for r := 0; r < n; r++ {
-		if nullKey(views, r) {
-			continue
-		}
-		h := hashes[r] & jt.dampen
-		slot := h & jt.mask
-		for {
-			e := jt.slots[slot]
+// and buildRows. It stops after limit pairs and resumes from cur on the
+// next call, so a skewed key — or a keyless table, whose single chain holds
+// every build row (the cartesian product) — still yields bounded batches;
+// done reports that all n rows are exhausted. Probe rows with null keys
+// never match.
+func (jt *JoinTable) Probe(views []*View, n int, hashes []uint64, cur *ProbeCursor, limit int, probeSel []int, buildRows []int32) ([]int, []int32, bool) {
+	r, row, inChain := cur.r, cur.row, cur.inChain
+	for ; r < n; r++ {
+		if !inChain {
+			e := jt.lookup(views, r, hashes[r])
 			if e < 0 {
-				break
+				continue
 			}
-			if jt.hashes[e] == h && jt.equalEntry(int(e), views, r) {
-				for row := jt.head[e]; row >= 0; row = jt.next[row] {
-					probeSel = append(probeSel, r)
-					buildRows = append(buildRows, row)
-				}
-				if matched != nil {
-					matched[r] = true
-				}
-				break
+			row, inChain = jt.head[e], true
+		}
+		for ; row >= 0; row = jt.next[row] {
+			if len(probeSel) >= limit {
+				*cur = ProbeCursor{r: r, row: row, inChain: true}
+				return probeSel, buildRows, false
 			}
-			slot = (slot + 1) & jt.mask
+			probeSel = append(probeSel, r)
+			buildRows = append(buildRows, row)
+		}
+		inChain = false
+	}
+	*cur = ProbeCursor{r: n}
+	return probeSel, buildRows, true
+}
+
+// lookup returns the entry matching probe row r, or -1.
+func (jt *JoinTable) lookup(views []*View, r int, h uint64) int32 {
+	if nullKey(views, r) {
+		return -1
+	}
+	h &= jt.dampen
+	for slot := h & jt.mask; ; slot = (slot + 1) & jt.mask {
+		e := jt.slots[slot]
+		if e < 0 || (jt.hashes[e] == h && jt.equalEntry(int(e), views, r)) {
+			return e
 		}
 	}
-	return probeSel, buildRows
 }

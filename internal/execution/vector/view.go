@@ -3,11 +3,10 @@
 // hashing, flat open-addressing hash tables keyed on pre-hashed column
 // vectors, selection-vector filter kernels, and typed batch aggregators.
 //
-// The row-at-a-time operators in internal/execution pay one interface
-// dispatch (Block.Value) plus one boxed key encoding per row per column;
-// this package replaces those inner loops with typed slice traversals that
-// dispatch once per block. Dictionary and run-length encodings are first
-// class: a kernel touches each distinct dictionary value once and maps the
+// A row-at-a-time engine pays one interface dispatch (Block.Value) plus one
+// boxed key encoding per row per column; this package replaces those inner
+// loops with typed slice traversals that dispatch once per block.
+// Dictionary and run-length encodings are first class: a kernel touches each distinct dictionary value once and maps the
 // result through the id vector, and an RLE block costs one evaluation for
 // the whole batch.
 //
@@ -22,7 +21,7 @@ import (
 )
 
 // Kind is the storage kind of a View or Column. Every SQL scalar maps onto
-// one of four physical representations.
+// one of four typed physical representations; every other type is boxed.
 type Kind uint8
 
 const (
@@ -34,40 +33,33 @@ const (
 	KindBool
 	// KindString backs VARCHAR.
 	KindString
+	// KindBoxed backs every other type (ARRAY, MAP, ROW, the NULL literal):
+	// values stay boxed in View.A and compare by their key encoding
+	// (AppendKey). It is the slow lane that keeps the hash tables total.
+	KindBoxed
 )
 
-// kindOf maps a SQL type to its storage kind; ok is false for nested and
-// unknown types (those stay on the row-at-a-time reference path).
-func kindOf(t *types.Type) (Kind, bool) {
+// KindOf maps a SQL type to its storage kind.
+func KindOf(t *types.Type) Kind {
 	if t == nil {
-		return 0, false
+		return KindBoxed
 	}
 	switch t.Kind {
 	case types.KindBigint, types.KindInteger, types.KindDate:
-		return KindInt64, true
+		return KindInt64
 	case types.KindDouble:
-		return KindFloat64, true
+		return KindFloat64
 	case types.KindBoolean:
-		return KindBool, true
+		return KindBool
 	case types.KindVarchar:
-		return KindString, true
+		return KindString
 	default:
-		return 0, false
+		return KindBoxed
 	}
 }
 
-// Supported reports whether columns of type t can flow through the vector
-// kernels (hash tables, aggregators, join stores).
-func Supported(t *types.Type) bool {
-	_, ok := kindOf(t)
-	return ok
-}
-
-// KindOf exposes the type→kind mapping to the operators layer.
-func KindOf(t *types.Type) (Kind, bool) { return kindOf(t) }
-
 // View is a typed, allocation-free window onto one block. Exactly one of
-// the value slices (I64/F64/B/S) is populated, according to Kind. Row r of
+// the value slices (I64/F64/B/S/A) is populated, according to Kind. Row r of
 // the view reads storage index at(r):
 //
 //   - flat blocks: storage index == r;
@@ -85,9 +77,12 @@ type View struct {
 	F64   []float64
 	B     []bool
 	S     []string
+	A     []any // KindBoxed: a reused boxed copy of the block (see Box)
 	Nulls []bool
 	Ids   []int32
 	Const bool
+
+	boxNulls []bool // Box's reusable null mask
 }
 
 // Of fills v with a typed view of b, forcing lazy blocks. It reports false
@@ -106,7 +101,7 @@ func Of(b block.Block, v *View) bool {
 		*v = View{Kind: KindString, N: len(t.Values), S: t.Values, Nulls: t.Nulls}
 	case *block.DictionaryBlock:
 		if !Of(t.Dictionary, v) || v.Ids != nil || v.Const {
-			return false // nested encodings stay on the reference path
+			return false // nested encodings take the Materialize fallback
 		}
 		v.Ids = t.Ids
 		v.N = len(t.Ids)
@@ -145,6 +140,28 @@ func (v *View) at(r int) int {
 // flat reports whether the view is a plain null-free slice — the shape the
 // specialized inner loops handle without per-row branching.
 func (v *View) flat() bool { return v.Ids == nil && !v.Const && v.Nulls == nil }
+
+// Box fills v with a boxed (KindBoxed) copy of b's first n rows, reusing
+// the view's scratch from the previous call. It is the view of columns no
+// typed kind covers, and of the arguments of boxed aggregates.
+func Box(b block.Block, n int, v *View) {
+	vals, nulls := grown(v.A[:0], n), v.boxNulls[:0]
+	hasNull := false
+	for r := range vals {
+		vals[r] = b.Value(r)
+		hasNull = hasNull || vals[r] == nil
+	}
+	if hasNull {
+		nulls = grown(nulls, n)
+		for r, x := range vals {
+			nulls[r] = x == nil
+		}
+	}
+	*v = View{Kind: KindBoxed, N: n, A: vals, boxNulls: nulls}
+	if hasNull {
+		v.Nulls = nulls
+	}
+}
 
 // Materialize fills v with a flat typed copy of b's first n rows through the
 // boxed Value path — the slow lane for encodings Of rejects (e.g. nested

@@ -1,10 +1,11 @@
 package execution
 
-// Property-based equivalence suite for the vectorized kernels: random
-// schemas, encodings, NULL densities, cardinalities and driver counts are
-// generated from a seed, run through the vectorized operators, and compared
-// row-exactly against the row-at-a-time reference path (DisableVectorized,
-// serial Build). Every failure logs its seed; replay one with
+// Property-based equivalence suite for the engine's operators: random
+// schemas (nested columns included), encodings, NULL densities,
+// cardinalities, aggregate shapes (global, DISTINCT, boxed), join shapes
+// (equi, residual, keyless) and driver counts are generated from a seed,
+// run through the engine, and compared row-exactly against the naive oracle
+// (oracle_test.go). Every failure logs its seed; replay one with
 // EQUIV_SEED=<seed> go test -run TestVector.*Equivalence ./internal/execution/.
 //
 // DOUBLE columns only hold multiples of 0.5 with small magnitudes, so
@@ -104,6 +105,9 @@ var equivTypes = []*types.Type{
 	types.Bigint, types.Integer, types.Double, types.Varchar, types.Boolean, types.Date,
 }
 
+// equivNested is the generated nested type: value d is the array [d%5, d].
+var equivNested = types.NewArray(types.Bigint)
+
 func equivColSpecs(rng *rand.Rand, prefix string, n int, cards []int) []equivColSpec {
 	dens := []float64{0, 0.05, 0.3}
 	specs := make([]equivColSpec, n)
@@ -132,6 +136,8 @@ func equivValue(t *types.Type, d int) any {
 		return float64(d) + 0.5
 	case types.KindBoolean:
 		return d%2 == 0
+	case types.KindArray:
+		return []any{int64(d % 5), int64(d)}
 	default:
 		return "v" + strconv.Itoa(d)
 	}
@@ -213,41 +219,76 @@ func equivScan(rng *rand.Rand, catalog string, specs []equivColSpec, target int)
 }
 
 // equivAggs picks one aggregate per non-key column (type-compatible, typed
-// through the same registry resolution the analyzer uses) plus count(*).
-func equivAggs(rng *rand.Rand, specs []equivColSpec, nKeys int) []planner.Aggregation {
+// through the same registry resolution the analyzer uses) plus count(*)
+// and approx_distinct on the last column (a boxed state that still splits
+// into partial and final). With distinct it adds count(DISTINCT …) or, over
+// a numeric column, sum(DISTINCT …) on the first value column — which moves
+// the whole plan off the partial/final split (seen-sets do not merge).
+func equivAggs(rng *rand.Rand, specs []equivColSpec, nKeys int, distinct bool) []planner.Aggregation {
 	aggs := []planner.Aggregation{{
 		FuncName: "count", OutputName: "cnt", InterType: types.Bigint, FinalType: types.Bigint,
 	}}
-	for j := nKeys; j < len(specs); j++ {
+	add := func(name string, j int, distinct bool) {
 		t := specs[j].typ
-		fns := []string{"count", "min", "max"}
-		if t.IsNumeric() {
-			fns = []string{"count", "sum", "min", "max", "avg"}
-		}
-		name := fns[rng.Intn(len(fns))]
 		fn, err := expr.ResolveAggregate(name, []*types.Type{t})
 		if err != nil {
-			continue
+			return
 		}
 		aggs = append(aggs, planner.Aggregation{
-			FuncName: name, Args: []int{j}, ArgTypes: []*types.Type{t},
-			OutputName: fmt.Sprintf("a%d", j),
+			FuncName: name, Args: []int{j}, ArgTypes: []*types.Type{t}, Distinct: distinct,
+			OutputName: fmt.Sprintf("a%d", len(aggs)),
 			InterType:  fn.IntermediateType([]*types.Type{t}),
 			FinalType:  fn.FinalType([]*types.Type{t}),
 		})
 	}
+	for j := nKeys; j < len(specs); j++ {
+		fns := []string{"count", "min", "max"}
+		switch t := specs[j].typ; {
+		case t.IsNumeric():
+			fns = []string{"count", "sum", "min", "max", "avg"}
+		case t.Kind == types.KindArray:
+			fns = []string{"count"}
+		}
+		add(fns[rng.Intn(len(fns))], j, false)
+	}
+	if distinct {
+		fn := "count"
+		if specs[nKeys].typ.IsNumeric() && rng.Intn(2) == 0 {
+			fn = "sum"
+		}
+		add(fn, nKeys, true)
+	}
+	add("approx_distinct", len(specs)-1, false)
 	return aggs
 }
 
-// maybeFilter wraps node in a random comparison filter over one column when
-// the function registry supports it — exercising the selection-vector
-// kernels (including dictionary/RLE fast paths) inside full plans.
+// equivCompare builds a random comparison of two expressions of type t,
+// or nil when the registry has no such comparison.
+func equivCompare(rng *rand.Rand, a, b expr.RowExpression, t *types.Type) expr.RowExpression {
+	op := []string{"lt", "neq", "gte"}[rng.Intn(3)]
+	if t.Kind == types.KindBoolean {
+		op = "eq"
+	}
+	pred, err := expr.NewCall(op, a, b)
+	if err != nil {
+		return nil
+	}
+	return pred
+}
+
+// maybeFilter wraps node in a random comparison filter over one scalar
+// column when the function registry supports it — exercising the
+// selection-vector kernels (including dictionary/RLE fast paths) inside
+// full plans.
 func maybeFilter(rng *rand.Rand, node planner.Node, specs []equivColSpec) planner.Node {
 	if rng.Intn(2) == 0 {
 		return node
 	}
 	ch := rng.Intn(len(specs))
 	spec := specs[ch]
+	if spec.typ.Kind == types.KindArray {
+		return node
+	}
 	v := expr.NewVariable(spec.name, ch, spec.typ)
 	var pred expr.RowExpression
 	var err error
@@ -262,6 +303,26 @@ func maybeFilter(rng *rand.Rand, node planner.Node, specs []equivColSpec) planne
 	return &planner.Filter{Child: node, Predicate: pred}
 }
 
+// equivResidual builds a random join residual over the joined layout
+// (left columns, then right): either a comparison between the two sides'
+// copies of a shared key column, or one column against a constant.
+func equivResidual(rng *rand.Rand, left, right []equivColSpec, shared int) expr.RowExpression {
+	if shared > 0 && rng.Intn(2) == 0 {
+		i := rng.Intn(shared)
+		spec := left[i]
+		return equivCompare(rng,
+			expr.NewVariable("l."+spec.name, i, spec.typ),
+			expr.NewVariable("r."+spec.name, len(left)+i, spec.typ), spec.typ)
+	}
+	ch := rng.Intn(len(left) + len(right))
+	spec := append(append([]equivColSpec{}, left...), right...)[ch]
+	if spec.typ.Kind == types.KindArray {
+		return nil
+	}
+	return equivCompare(rng, expr.NewVariable(spec.name, ch, spec.typ),
+		expr.NewConstant(equivValue(spec.typ, spec.card/2), spec.typ), spec.typ)
+}
+
 // ---------------------------------------------------------------------------
 // Running and comparing.
 
@@ -269,13 +330,12 @@ func maybeFilter(rng *rand.Rand, node planner.Node, specs []equivColSpec) planne
 type equivConfig struct {
 	name     string
 	drivers  int
-	disable  bool // DisableVectorized: row-at-a-time operators
-	adaptive int  // AdaptiveExchangeRows: 0 default, >0 low threshold, <0 off
-	bypass   int  // PartialAggBypassRows: 0 default, >0 eager trigger, <0 off
+	adaptive int // AdaptiveExchangeRows: 0 default, >0 low threshold, <0 off
+	bypass   int // PartialAggBypassRows: 0 default, >0 eager trigger, <0 off
 }
 
-// equivConfigs covers vectorized × driver counts × adaptive-exchange modes,
-// plus the row reference operators behind parallel exchanges.
+// equivConfigs covers driver counts × adaptive-exchange modes ×
+// partial-aggregation bypass modes.
 var equivConfigs = []equivConfig{
 	{name: "vector-1", drivers: 1},
 	{name: "vector-2", drivers: 2},
@@ -288,17 +348,14 @@ var equivConfigs = []equivConfig{
 	{name: "vector-4-bypass", drivers: 4, bypass: 1},
 	{name: "vector-2-forcepartition-bypass", drivers: 2, adaptive: 1, bypass: 1},
 	{name: "vector-8-nobypass", drivers: 8, bypass: -1},
-	{name: "row-8", drivers: 8, disable: true},
 }
 
 // runEquiv executes plan under cfg and returns the sorted row multiset.
 func runEquiv(t *testing.T, plan planner.Node, reg *connector.Registry, cfg equivConfig) []string {
 	t.Helper()
-	ctx := &Context{
-		Catalogs: reg, Drivers: cfg.drivers,
-		DisableVectorized: cfg.disable, AdaptiveExchangeRows: cfg.adaptive,
-		PartialAggBypassRows: cfg.bypass,
-	}
+	ctx := &Context{Catalogs: reg, TaskOptions: TaskOptions{
+		Drivers: cfg.drivers, AdaptiveExchangeRows: cfg.adaptive, PartialAggBypassRows: cfg.bypass,
+	}}
 	op, err := BuildParallel(plan, ctx)
 	if err != nil {
 		t.Fatalf("%s: build: %v", cfg.name, err)
@@ -306,16 +363,13 @@ func runEquiv(t *testing.T, plan planner.Node, reg *connector.Registry, cfg equi
 	return sortedMultiset(drainRows(t, op))
 }
 
-// equivReference is the oracle: serial row-at-a-time Build.
-var equivReference = equivConfig{name: "reference", drivers: 1, disable: true}
-
 func checkEquivalence(t *testing.T, seed int64, plan planner.Node, reg *connector.Registry) {
 	t.Helper()
-	want := runEquiv(t, plan, reg, equivReference)
+	want := sortedMultiset(oracleRows(t, plan, reg))
 	for _, cfg := range equivConfigs {
 		got := runEquiv(t, plan, reg, cfg)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d, %s: %d rows diverge from reference's %d\nplan:\n%s",
+			t.Errorf("seed %d, %s: %d rows diverge from the oracle's %d\nplan:\n%s",
 				seed, cfg.name, len(got), len(want), planner.Format(plan))
 			return
 		}
@@ -325,19 +379,57 @@ func checkEquivalence(t *testing.T, seed int64, plan planner.Node, reg *connecto
 // ---------------------------------------------------------------------------
 // The suites.
 
-// TestVectorAggEquivalence: random grouped aggregations (random key types,
-// cardinalities, NULL densities, encodings, optional filter, every agg
-// function with a typed kernel) must produce row-identical results on the
-// vectorized path at any driver count.
+// equivAggShapes are the aggregation shapes every seed covers; keys < 0
+// means one or two random scalar keys. The rest of each plan is random.
+// Each shape runs with and without a DISTINCT aggregate: without one,
+// grouped plans take the partial → adaptive exchange → final split (and
+// the bypass configs' pass-through) and global plans the per-driver
+// partials merged by one final; with one, both run on unsplit seen-sets.
+var equivAggShapes = []struct {
+	name     string
+	keys     int
+	nested   bool // the first group key is nested
+	empty    bool // over empty input
+	distinct bool // one aggregate is DISTINCT
+}{
+	{name: "grouped", keys: -1},
+	{name: "grouped-distinct", keys: -1, distinct: true},
+	{name: "grouped-nested-key", keys: 1, nested: true},
+	{name: "grouped-nested-key-distinct", keys: 1, nested: true, distinct: true},
+	{name: "global", keys: 0},
+	{name: "global-distinct", keys: 0, distinct: true},
+	{name: "global-empty", keys: 0, empty: true},
+	{name: "global-empty-distinct", keys: 0, empty: true, distinct: true},
+}
+
+// TestVectorAggEquivalence: random aggregations — grouped (by scalar keys or
+// a nested key) and global (also over empty input), with random key types,
+// cardinalities, NULL densities and encodings, a nested value column a
+// quarter of the time, an optional filter, every aggregate function and the
+// DISTINCT and approx_distinct forms — must produce the oracle's rows at any
+// driver count.
 func TestVectorAggEquivalence(t *testing.T) {
 	for _, seed := range equivSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			for trial := 0; trial < 3; trial++ {
-				nKeys := 1 + rng.Intn(2)
+			for _, shape := range equivAggShapes {
+				nKeys := shape.keys
+				if nKeys < 0 {
+					nKeys = 1 + rng.Intn(2)
+				}
 				specs := equivColSpecs(rng, "k", nKeys, []int{1, 2, 5, 40, 300})
+				if shape.nested {
+					specs[0].typ = equivNested
+				}
 				specs = append(specs, equivColSpecs(rng, "v", 1+rng.Intn(2), []int{7, 1000})...)
-				scan, conn := equivScan(rng, "t", specs, rng.Intn(3000))
+				if rng.Intn(4) == 0 {
+					specs[len(specs)-1].typ = equivNested
+				}
+				rows := rng.Intn(3000)
+				if shape.empty {
+					rows = 0
+				}
+				scan, conn := equivScan(rng, "t", specs, rows)
 				reg := connector.NewRegistry()
 				reg.Register("t", conn)
 				child := maybeFilter(rng, scan, specs)
@@ -347,7 +439,7 @@ func TestVectorAggEquivalence(t *testing.T) {
 				}
 				plan := &planner.Aggregate{
 					Child: child, GroupBy: groupBy,
-					Aggs: equivAggs(rng, specs, nKeys), Step: planner.AggSingle,
+					Aggs: equivAggs(rng, specs, nKeys, shape.distinct), Step: planner.AggSingle,
 				}
 				checkEquivalence(t, seed, plan, reg)
 			}
@@ -355,36 +447,58 @@ func TestVectorAggEquivalence(t *testing.T) {
 	}
 }
 
-// TestVectorJoinEquivalence: random inner/left equi-joins (shared key
-// domains so matches actually occur, mixed encodings and NULL keys) must
-// produce row-identical results on the vectorized path at any driver count,
-// under every adaptive-exchange mode (broadcast-small and partitioned).
+// equivJoinShapes are the join shapes every seed covers. Equi-joins are
+// INNER or LEFT at random; keyless ones are a CROSS join or a non-equi LEFT
+// join. Even-numbered shapes carry a nested build-side column.
+var equivJoinShapes = []struct {
+	name     string
+	keyless  bool
+	residual bool
+	kind     planner.JoinKind // keyless shapes only
+}{
+	{name: "equi"},
+	{name: "equi-residual", residual: true},
+	{name: "cross", keyless: true, kind: planner.JoinCross},
+	{name: "nonequi-left", keyless: true, residual: true, kind: planner.JoinLeft},
+}
+
+// TestVectorJoinEquivalence: random joins over shared key domains (so
+// matches actually occur) with mixed encodings and NULL keys, in every
+// shape of equivJoinShapes, must produce the oracle's rows at any driver
+// count, under every adaptive-exchange mode (broadcast-small and
+// partitioned).
 func TestVectorJoinEquivalence(t *testing.T) {
 	for _, seed := range equivSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			for trial := 0; trial < 2; trial++ {
+			for i, shape := range equivJoinShapes {
 				keys := equivColSpecs(rng, "k", 1+rng.Intn(2), []int{10, 50, 200})
 				left := append(append([]equivColSpec{}, keys...),
 					equivColSpecs(rng, "lv", 1, []int{1000})...)
 				right := append(append([]equivColSpec{}, keys...),
 					equivColSpecs(rng, "rv", 1, []int{1000})...)
-				scanL, connL := equivScan(rng, "l", left, rng.Intn(600))
-				scanR, connR := equivScan(rng, "r", right, rng.Intn(250))
+				if i%2 == 0 {
+					right[len(right)-1].typ = equivNested
+				}
+				nl, nr := rng.Intn(600), rng.Intn(250)
+				if shape.keyless {
+					nl, nr = rng.Intn(60), rng.Intn(40) // the product stays small
+				}
+				scanL, connL := equivScan(rng, "l", left, nl)
+				scanR, connR := equivScan(rng, "r", right, nr)
 				reg := connector.NewRegistry()
 				reg.Register("l", connL)
 				reg.Register("r", connR)
-				kind := planner.JoinInner
-				if rng.Intn(2) == 0 {
-					kind = planner.JoinLeft
+				plan := &planner.Join{Kind: shape.kind, Left: scanL, Right: scanR}
+				if !shape.keyless {
+					plan.Kind = []planner.JoinKind{planner.JoinInner, planner.JoinLeft}[rng.Intn(2)]
+					for i := range keys {
+						plan.LeftKeys = append(plan.LeftKeys, i)
+						plan.RightKeys = append(plan.RightKeys, i)
+					}
 				}
-				jk := make([]int, len(keys))
-				for i := range jk {
-					jk[i] = i
-				}
-				plan := &planner.Join{
-					Kind: kind, Left: scanL, Right: scanR,
-					LeftKeys: jk, RightKeys: append([]int{}, jk...),
+				if shape.residual || (shape.keyless && rng.Intn(2) == 0) {
+					plan.Residual = equivResidual(rng, left, right, len(keys))
 				}
 				checkEquivalence(t, seed, plan, reg)
 			}
@@ -395,12 +509,10 @@ func TestVectorJoinEquivalence(t *testing.T) {
 // runEquivSpill executes plan serially with a capped pool and a spill
 // manager, returning the sorted row multiset and the pool (for spill
 // assertions). Serial keeps spill triggering deterministic.
-func runEquivSpill(t *testing.T, plan planner.Node, reg *connector.Registry, limit int64, disable bool) ([]string, *resource.Pool) {
+func runEquivSpill(t *testing.T, plan planner.Node, reg *connector.Registry, limit int64) ([]string, *resource.Pool) {
 	t.Helper()
 	pool, mgr := spillEnv(t, limit)
-	ctx := &Context{
-		Catalogs: reg, Drivers: 1, Memory: pool, Spill: mgr, DisableVectorized: disable,
-	}
+	ctx := &Context{Catalogs: reg, Memory: pool, Spill: mgr, TaskOptions: TaskOptions{Drivers: 1}}
 	op, err := BuildParallel(plan, ctx)
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -408,9 +520,9 @@ func runEquivSpill(t *testing.T, plan planner.Node, reg *connector.Registry, lim
 	return sortedMultiset(drainRows(t, op)), pool
 }
 
-// TestVectorAggSpillEquivalence: the vectorized aggregation under memory
-// pressure must spill (not fail), and the post-spill merge must reproduce
-// the unlimited reference results exactly — including the grown-slice reuse
+// TestVectorAggSpillEquivalence: the aggregation under memory pressure must
+// spill (not fail), and the post-spill merge must reproduce the oracle's
+// results exactly — including the grown-slice reuse
 // after Reset that the spill path exercises.
 func TestVectorAggSpillEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -422,12 +534,11 @@ func TestVectorAggSpillEquivalence(t *testing.T) {
 	scan, conn := equivScan(rng, "t", specs, 4000)
 	reg := connector.NewRegistry()
 	reg.Register("t", conn)
-	plan := &planner.Aggregate{
-		Child: scan, GroupBy: []int{0},
-		Aggs: equivAggs(rng, specs, 1), Step: planner.AggSingle,
-	}
-	want := runEquiv(t, plan, reg, equivReference)
-	got, pool := runEquivSpill(t, plan, reg, 32<<10, false)
+	// DISTINCT cannot spill (TestDistinctAggregateFailsOverCapWithSpill).
+	aggs := equivAggs(rng, specs, 1, false)
+	plan := &planner.Aggregate{Child: scan, GroupBy: []int{0}, Aggs: aggs, Step: planner.AggSingle}
+	want := sortedMultiset(oracleRows(t, plan, reg))
+	got, pool := runEquivSpill(t, plan, reg, 32<<10)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("spilled vector aggregation diverged: %d vs %d rows", len(got), len(want))
 	}
@@ -436,9 +547,8 @@ func TestVectorAggSpillEquivalence(t *testing.T) {
 	}
 }
 
-// TestVectorJoinSpillEquivalence: the vectorized join under memory pressure
-// degrades to the spilling row join; results must match the unlimited
-// reference exactly.
+// TestVectorJoinSpillEquivalence: the join under memory pressure takes its
+// multi-pass spill path; results must match the oracle exactly.
 func TestVectorJoinSpillEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	keys := []equivColSpec{{name: "k0", typ: types.Bigint, card: 400, nullDen: 0.05}}
@@ -455,8 +565,8 @@ func TestVectorJoinSpillEquivalence(t *testing.T) {
 		Kind: planner.JoinLeft, Left: scanL, Right: scanR,
 		LeftKeys: []int{0}, RightKeys: []int{0},
 	}
-	want := runEquiv(t, plan, reg, equivReference)
-	got, pool := runEquivSpill(t, plan, reg, 32<<10, false)
+	want := sortedMultiset(oracleRows(t, plan, reg))
+	got, pool := runEquivSpill(t, plan, reg, 32<<10)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("spilled vector join diverged: %d vs %d rows", len(got), len(want))
 	}
@@ -470,8 +580,8 @@ func TestVectorJoinSpillEquivalence(t *testing.T) {
 // with an eager trigger, a partial step must stop hashing and stream rows
 // through, so its output row count exceeds the group count a fully-hashed
 // partial collapses to. The disabled-trigger run doubles as the oracle for
-// the group count, and both shapes must agree with the rowwise reference
-// after a final step (covered by the equivalence configs above).
+// the group count, and both shapes must agree with the oracle after a final
+// step (covered by the equivalence configs above).
 func TestPartialAggBypassStreams(t *testing.T) {
 	const seed, rows = 21, 2000
 	// card 3x rows: ~15% of rows repeat a key, so the reduction ratio stays
@@ -490,7 +600,7 @@ func TestPartialAggBypassStreams(t *testing.T) {
 			}},
 			Step: planner.AggPartial,
 		}
-		op, err := Build(partial, &Context{Catalogs: reg, Drivers: 1, PartialAggBypassRows: bypass})
+		op, err := Build(partial, &Context{Catalogs: reg, TaskOptions: TaskOptions{Drivers: 1, PartialAggBypassRows: bypass}})
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}

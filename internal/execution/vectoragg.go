@@ -14,18 +14,6 @@ import (
 	"prestolite/internal/types"
 )
 
-// newAggOp picks the aggregation implementation for a plan node: the
-// vectorized operator when the shape fits its kernels, otherwise the
-// row-at-a-time reference operator. Both honor the same memory accounting,
-// spill format and intermediate-value contracts, so the choice is invisible
-// to the rest of the plan.
-func newAggOp(ctx *Context, node *planner.Aggregate, child Operator) (Operator, error) {
-	if vectorAggEligible(ctx, node) {
-		return newVectorAggOperator(ctx, node, child, newOpMem("hash aggregation", ctx))
-	}
-	return newAggregateOperator(node, child, newOpMem("hash aggregation", ctx))
-}
-
 // Adaptive partial aggregation: a partial step that observes almost no
 // reduction — nearly every input row opens a new group — stops hashing and
 // streams the rest of its input through in intermediate layout, leaving the
@@ -58,31 +46,6 @@ func partialBypassRows(ctx *Context) int {
 	return partialBypassMinRows
 }
 
-// vectorAggEligible gates the vectorized aggregation: grouped (a global
-// aggregate is one constant-size state — nothing to vectorize), scalar key
-// types, and every aggregate covered by a typed kernel. DISTINCT and
-// approx_distinct stay on the reference path.
-func vectorAggEligible(ctx *Context, node *planner.Aggregate) bool {
-	if ctx.DisableVectorized || len(node.GroupBy) == 0 {
-		return false
-	}
-	childCols := node.Child.Outputs()
-	for _, ch := range node.GroupBy {
-		if !vector.Supported(childCols[ch].Type) {
-			return false
-		}
-	}
-	for _, a := range node.Aggs {
-		if a.Distinct || len(a.Args) > 1 {
-			return false
-		}
-		if _, ok := vector.NewAgg(a.FuncName, aggArgType(a)); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // aggArgType is the aggregate's raw argument type, nil for count(*).
 func aggArgType(a planner.Aggregation) *types.Type {
 	if len(a.ArgTypes) == 0 {
@@ -91,18 +54,30 @@ func aggArgType(a planner.Aggregation) *types.Type {
 	return a.ArgTypes[0]
 }
 
-// vectorAggOperator is hash aggregation over the vector kernels: pages are
-// hashed in batch, group ids assigned through the open-addressing
-// GroupTable, and per-group state lives in flat typed slices updated a
-// column at a time. It implements the same three step modes, memory
-// accounting and spill protocol as aggregateOperator — including writing
-// the identical key-sorted spill schema, so both operators share aggMerger
-// for the post-spill streaming merge.
+// vectorAggOperator is hash aggregation (Fig 2's three step modes: SINGLE
+// consumes raw rows and emits finals, PARTIAL emits intermediates, FINAL
+// merges intermediates) over the vector kernels: pages are hashed in batch,
+// group ids assigned through the open-addressing GroupTable, and per-group
+// state is updated a column at a time. A global aggregation is a keyless
+// table with one group, which emits one row even over empty input.
+//
+// Each aggregate picks its state kind from its argument type and DISTINCT
+// flag: a typed flat kernel (vector.NewAgg) when one exists, else boxedAgg
+// (one expr.AggState per group). Nested group keys live in boxed columns.
+//
+// Grouped aggregations account every new group against the query memory
+// context; when a reservation is refused (and spill is enabled) the whole
+// table is flushed to a key-sorted spill run and rebuilt empty, and once
+// input is exhausted aggMerger streams the merged runs out. DISTINCT
+// seen-sets cannot be merged across runs without double counting, so a
+// DISTINCT aggregation hard-reserves and fails with Insufficient Resources
+// when over the limit.
 type vectorAggOperator struct {
 	node  *planner.Aggregate
 	child Operator
-	fns   []*expr.AggregateFunction // row-engine states, used by the spill merge
+	fns   []*expr.AggregateFunction // the aggregates' expr states, used by the spill merge
 	aggs  []vector.Agg
+	boxed []*boxedAgg // the boxed entries of aggs (DISTINCT seen-set accounting)
 	table *vector.GroupTable
 	mem   *opMem
 
@@ -114,8 +89,9 @@ type vectorAggOperator struct {
 	argViews []*vector.View
 	argKinds []vector.Kind
 
-	consumed bool
-	emitFrom int
+	consumed    bool
+	emitFrom    int
+	hasDistinct bool
 
 	// Adaptive partial aggregation state: rowsIn counts consumed input
 	// rows; bypass flips when the reduction ratio check fails, after which
@@ -128,51 +104,66 @@ type vectorAggOperator struct {
 
 	chargedGroups   int
 	chargedKeyBytes int64
+	chargedSeen     int64
 	runs            []*resource.Run
 	merger          *aggMerger
 }
 
-func newVectorAggOperator(ctx *Context, node *planner.Aggregate, child Operator, mem *opMem) (Operator, error) {
+func newVectorAggOperator(ctx *Context, node *planner.Aggregate, child Operator) (Operator, error) {
 	childCols := node.Child.Outputs()
 	keyTypes := make([]*types.Type, len(node.GroupBy))
 	keyKinds := make([]vector.Kind, len(node.GroupBy))
 	for i, ch := range node.GroupBy {
 		keyTypes[i] = childCols[ch].Type
-		keyKinds[i], _ = vector.KindOf(keyTypes[i])
-	}
-	table, ok := vector.NewGroupTable(keyTypes)
-	if !ok {
-		return nil, fmt.Errorf("execution: vector aggregation over unsupported key types")
+		keyKinds[i] = vector.KindOf(keyTypes[i])
 	}
 	o := &vectorAggOperator{
 		node:       node,
 		child:      child,
-		mem:        mem,
-		table:      table,
+		mem:        newOpMem("hash aggregation", ctx),
+		table:      vector.NewGroupTable(keyTypes),
 		bypassRows: partialBypassRows(ctx),
 		keyKinds:   keyKinds,
 		keyViews:   newViews(len(node.GroupBy)),
 		argViews:   newViews(len(node.Aggs)),
 		argKinds:   make([]vector.Kind, len(node.Aggs)),
 	}
-	for _, a := range node.Aggs {
+	for i, a := range node.Aggs {
 		fn, err := expr.ResolveAggregate(a.FuncName, a.ArgTypes)
 		if err != nil {
 			return nil, err
 		}
 		o.fns = append(o.fns, fn)
-		agg, ok := vector.NewAgg(a.FuncName, aggArgType(a))
-		if !ok {
-			return nil, fmt.Errorf("execution: vector aggregation has no kernel for %s", a.FuncName)
-		}
+		o.hasDistinct = o.hasDistinct || a.Distinct
+		agg := o.newAgg(i)
 		o.aggs = append(o.aggs, agg)
-	}
-	for i, a := range node.Aggs {
-		if node.Step != planner.AggFinal && len(a.Args) == 1 {
-			o.argKinds[i], _ = vector.KindOf(a.ArgTypes[0])
+		b, isBoxed := agg.(*boxedAgg)
+		switch {
+		case isBoxed:
+			o.boxed = append(o.boxed, b)
+			o.argKinds[i] = vector.KindBoxed
+		case node.Step != planner.AggFinal && len(a.Args) == 1:
+			o.argKinds[i] = vector.KindOf(a.ArgTypes[0])
 		}
+	}
+	if len(node.GroupBy) == 0 || o.hasDistinct {
+		// A global partial always reduces to one row, and a DISTINCT
+		// partial cannot pass rows through without double counting.
+		o.bypassRows = -1
 	}
 	return o, nil
+}
+
+// newAgg builds aggregate i's state store: its typed kernel when one
+// exists, else the boxed kind. DISTINCT always takes the boxed kind.
+func (o *vectorAggOperator) newAgg(i int) vector.Agg {
+	a := o.node.Aggs[i]
+	if !a.Distinct {
+		if agg, ok := vector.NewAgg(a.FuncName, aggArgType(a)); ok {
+			return agg
+		}
+	}
+	return &boxedAgg{fn: o.fns[i], argTypes: a.ArgTypes, inter: a.InterType, final: a.FinalType, distinct: a.Distinct}
 }
 
 func newViews(n int) []*vector.View {
@@ -207,9 +198,14 @@ func (o *vectorAggOperator) Next() (*block.Page, error) {
 	return p, err
 }
 
-// viewOf fills v from b, falling back to boxed materialization for exotic
-// encodings the typed views reject.
+// viewOf fills v from b as kind k: boxed kinds box every value, typed kinds
+// take the zero-copy view and fall back to materialization for exotic
+// encodings it rejects.
 func viewOf(b block.Block, k vector.Kind, n int, v *vector.View) error {
+	if k == vector.KindBoxed {
+		vector.Box(b, n, v)
+		return nil
+	}
 	if vector.Of(b, v) {
 		return nil
 	}
@@ -289,20 +285,39 @@ func (o *vectorAggOperator) consume() error {
 		o.merger = newAggMerger(o.node, o.fns)
 		return o.merger.open(o.runs)
 	}
+	if len(o.node.GroupBy) == 0 && o.table.Len() == 0 {
+		// Global aggregation over empty input still produces one group.
+		var id [1]int32
+		o.table.Assign(nil, 1, nil, id[:])
+		for _, agg := range o.aggs {
+			agg.Grow(1)
+		}
+	}
 	return nil
 }
 
-// chargeGrowth accounts the page's new groups (same per-group costs as the
-// row operator, charged per batch instead of per row). A refused reservation
-// flushes the whole table to a sorted run — including the groups just
-// assigned, so unlike the row path nothing is re-reserved afterwards.
+// chargeGrowth accounts the page's new groups and DISTINCT seen-set entries
+// (charged per batch). A refused reservation flushes the whole table to a
+// sorted run, including the groups just assigned.
 func (o *vectorAggOperator) chargeGrowth(groups int) error {
-	keyBytes := o.table.KeyBytes()
-	cost := int64(groups-o.chargedGroups)*(aggGroupBaseCost+int64(len(o.aggs))*aggStateCost) +
-		(keyBytes - o.chargedKeyBytes)
-	o.chargedGroups, o.chargedKeyBytes = groups, keyBytes
+	var cost int64
+	if len(o.node.GroupBy) > 0 {
+		keyBytes := o.table.KeyBytes()
+		cost = int64(groups-o.chargedGroups)*(aggGroupBaseCost+int64(len(o.aggs))*aggStateCost) +
+			(keyBytes - o.chargedKeyBytes)
+		o.chargedGroups, o.chargedKeyBytes = groups, keyBytes
+	}
+	var seen int64
+	for _, b := range o.boxed {
+		seen += b.seenBytes
+	}
+	cost += seen - o.chargedSeen
+	o.chargedSeen = seen
 	if cost <= 0 {
 		return nil
+	}
+	if o.hasDistinct {
+		return o.mem.hardReserve(cost)
 	}
 	ok, err := o.mem.reserve(cost)
 	if err != nil {
@@ -419,7 +434,8 @@ func (o *vectorAggOperator) passNext() (*block.Page, error) {
 // and each aggregate's intermediate column is produced by a single AddRaw
 // over identity group ids. Fresh aggregator instances per page keep the
 // emitted blocks from aliasing state slices that the next page would
-// overwrite — exchange sinks buffer emitted pages.
+// overwrite — exchange sinks buffer emitted pages. (DISTINCT aggregations
+// never bypass, so no seen-set is involved.)
 func (o *vectorAggOperator) passThrough(p *block.Page, n int) (*block.Page, error) {
 	if cap(o.ids) < n {
 		o.ids = make([]int32, n)
@@ -434,10 +450,7 @@ func (o *vectorAggOperator) passThrough(p *block.Page, n int) (*block.Page, erro
 		blocks[i] = p.Blocks[ch]
 	}
 	for i, a := range o.node.Aggs {
-		agg, ok := vector.NewAgg(a.FuncName, aggArgType(a))
-		if !ok {
-			return nil, fmt.Errorf("execution: vector aggregation has no kernel for %s", a.FuncName)
-		}
+		agg := o.newAgg(i)
 		agg.Grow(n)
 		if len(a.Args) == 0 {
 			agg.AddRaw(ids, nil, n)
@@ -464,4 +477,84 @@ func (o *vectorAggOperator) Close() error {
 	o.mem.releaseAll()
 	errs = append(errs, o.child.Close())
 	return errors.Join(errs...)
+}
+
+// boxedAgg is the state kind for aggregates no typed kernel covers —
+// DISTINCT, approx_distinct, build_geo_index, min/max over nested types:
+// one expr.AggState per group, fed the boxed argument column (a KindBoxed
+// view). A DISTINCT aggregate also keeps a per-group seen-set of encoded
+// argument values; seenBytes is its growth, which the operator
+// hard-reserves.
+type boxedAgg struct {
+	fn           *expr.AggregateFunction
+	argTypes     []*types.Type
+	inter, final *types.Type
+	distinct     bool
+
+	states    []expr.AggState
+	seen      []map[string]struct{}
+	seenBytes int64
+	vals      []any  // scratch: one raw row's arguments
+	buf       []byte // scratch: one argument's seen-set encoding
+}
+
+func (a *boxedAgg) Grow(n int) {
+	for len(a.states) < n {
+		a.states = append(a.states, a.fn.NewState(a.argTypes))
+		if a.distinct {
+			a.seen = append(a.seen, map[string]struct{}{})
+		}
+	}
+}
+
+func (a *boxedAgg) AddRaw(ids []int32, arg *vector.View, n int) {
+	for r := 0; r < n; r++ {
+		g := ids[r]
+		vals := a.vals[:0]
+		if arg != nil {
+			vals = append(vals, arg.A[r])
+		}
+		a.vals = vals
+		if a.distinct {
+			if len(vals) > 0 && vals[0] == nil {
+				continue
+			}
+			a.buf = appendGroupKey(a.buf[:0], vals)
+			if _, dup := a.seen[g][string(a.buf)]; dup {
+				continue
+			}
+			a.seen[g][string(a.buf)] = struct{}{}
+			a.seenBytes += int64(len(a.buf)) + aggDistinctCost
+		}
+		a.states[g].Add(vals)
+	}
+}
+
+func (a *boxedAgg) AddIntermediate(ids []int32, b block.Block, n int) error {
+	for r := 0; r < n; r++ {
+		a.states[ids[r]].AddIntermediate(b.Value(r))
+	}
+	return nil
+}
+
+func (a *boxedAgg) EmitIntermediate(from, to int) block.Block {
+	b := block.NewBuilder(a.inter, to-from)
+	for _, st := range a.states[from:to] {
+		b.Append(st.Intermediate())
+	}
+	return b.Build()
+}
+
+func (a *boxedAgg) EmitFinal(from, to int) block.Block {
+	b := block.NewBuilder(a.final, to-from)
+	for _, st := range a.states[from:to] {
+		b.Append(st.Final())
+	}
+	return b.Build()
+}
+
+func (a *boxedAgg) IntermediateValue(g int) any { return a.states[g].Intermediate() }
+
+func (a *boxedAgg) Reset() {
+	a.states, a.seen, a.seenBytes = a.states[:0], a.seen[:0], 0
 }

@@ -6,54 +6,34 @@ import (
 
 	"prestolite/internal/block"
 	"prestolite/internal/execution/vector"
+	"prestolite/internal/expr"
 	"prestolite/internal/planner"
+	"prestolite/internal/resource"
 	"prestolite/internal/types"
 )
 
-// newJoinOp picks the join implementation for a plan node: the vectorized
-// operator for residual-free INNER/LEFT equi-joins over scalar columns,
-// otherwise the row-at-a-time reference operator (cross joins, residual
-// predicates, nested build-side types).
-func newJoinOp(ctx *Context, node *planner.Join, left, right Operator) Operator {
-	if vectorJoinEligible(ctx, node) {
-		return newVectorJoinOperator(node, left, right, newOpMem("the build side of a join", ctx))
-	}
-	return newJoinOperator(node, left, right, newOpMem("the build side of a join", ctx))
-}
+// joinBatchRows bounds the (probe row, build row) pairs one output batch
+// holds beyond the probe page's own size, so a cartesian product or a
+// skewed key streams out in bounded pages.
+const joinBatchRows = 4 * spillPageRows
 
-func vectorJoinEligible(ctx *Context, node *planner.Join) bool {
-	if ctx.DisableVectorized || len(node.LeftKeys) == 0 || node.Residual != nil {
-		return false
-	}
-	if node.Kind != planner.JoinInner && node.Kind != planner.JoinLeft {
-		return false
-	}
-	// Every build-side column lands in a typed store; probe-side keys need
-	// typed views. Probe non-key columns pass through untouched.
-	for _, c := range node.Right.Outputs() {
-		if !vector.Supported(c.Type) {
-			return false
-		}
-	}
-	leftCols := node.Left.Outputs()
-	for _, ch := range node.LeftKeys {
-		if !vector.Supported(leftCols[ch].Type) {
-			return false
-		}
-	}
-	return true
-}
-
-// vectorJoinOperator is a hash equi-join over the vector kernels: the build
-// side is compacted into flat typed column stores indexed by a chained
-// open-addressing JoinTable, and probe pages are hashed and matched in
-// batch — matches come out as (probe selection vector, build row gather),
-// so output columns are built with two typed copies instead of per-row
-// boxing.
+// vectorJoinOperator is the hash join for every INNER, LEFT and CROSS join:
+// the build (right) side is compacted into typed column stores indexed by a
+// chained open-addressing JoinTable — keyless for cross and non-equi joins,
+// whose single chain enumerates the cartesian product — and probe pages are
+// hashed and matched in batch. Matches come out as (probe selection vector,
+// build row gather) pairs, so output columns are built with typed copies
+// instead of per-row boxing. A residual predicate is a selection over each
+// gathered batch; LEFT match flags are set from the rows that survive it.
 //
-// Memory pressure degrades to the reference operator: the compacted store
-// is synthesized back into pages and replayed into a row joinOperator,
-// whose multi-pass spill machinery takes over.
+// Under memory pressure (with spill enabled) it becomes a multi-pass join:
+// the store built so far and the build pages that do not fit are spilled to
+// runs, the probe side is buffered (spilling under the same pressure), and
+// then each run is loaded in turn as a build chunk, its table rebuilt, and
+// the whole probe stream replayed against it. LEFT joins track per-probe-row
+// match flags across passes and emit the null-extended rows in a final
+// pass. Output order in spilled mode differs from the streaming path
+// (hash-join output order is unspecified).
 type vectorJoinOperator struct {
 	node  *planner.Join
 	left  Operator
@@ -62,7 +42,8 @@ type vectorJoinOperator struct {
 
 	leftTypes  []*types.Type
 	rightTypes []*types.Type
-	keyKinds   []vector.Kind
+	rightKinds []vector.Kind
+	keyKinds   []vector.Kind // probe-side key kinds
 
 	cols    []*vector.Column
 	jt      *vector.JoinTable
@@ -73,60 +54,108 @@ type vectorJoinOperator struct {
 	hasher   vector.Hasher
 	hashes   []uint64
 	rowViews []*vector.View
+	insViews []*vector.View
 	keyViews []*vector.View
-	probeSel []int
-	extraSel []int
-	matched  []bool
 
-	pending  []*block.Page
-	fallback Operator
+	// The probe page in flight: its rows from base on in the probe stream
+	// (nonzero only when replaying a spilled stream), and where the bounded
+	// probe stopped.
+	probe     *block.Page
+	base      int
+	cur       vector.ProbeCursor
+	probeDone bool
+	probeSel  []int
+	buildRows []int32
+	keep      []int
+	// matched holds LEFT-join match flags, indexed base+row: per probe page
+	// when streaming, across the whole probe stream when spilled.
+	matched   []bool
+	unmatched []int
+
+	// Spilled-mode state: the build side as runs (each one chunk), the
+	// buffered probe side, and the replay position.
+	spilled    bool
+	buildSpill pageStream
+	probeSpill pageStream
+	probeIter  *streamIter
+	probeBase  int
+	chunkIdx   int
+	chunkBytes int64
+	finalLeft  bool
 }
 
-func newVectorJoinOperator(node *planner.Join, left, right Operator, mem *opMem) Operator {
+func newVectorJoinOperator(ctx *Context, node *planner.Join, left, right Operator) Operator {
 	lo, ro := node.Left.Outputs(), node.Right.Outputs()
 	lt := make([]*types.Type, len(lo))
 	for i, c := range lo {
 		lt[i] = c.Type
 	}
 	rt := make([]*types.Type, len(ro))
-	cols := make([]*vector.Column, len(ro))
+	rightKinds := make([]vector.Kind, len(ro))
 	for i, c := range ro {
 		rt[i] = c.Type
-		cols[i], _ = vector.NewColumn(c.Type)
-	}
-	keyCols := make([]*vector.Column, len(node.RightKeys))
-	for i, ch := range node.RightKeys {
-		keyCols[i] = cols[ch]
+		rightKinds[i] = vector.KindOf(c.Type)
 	}
 	keyKinds := make([]vector.Kind, len(node.LeftKeys))
 	for i, ch := range node.LeftKeys {
-		keyKinds[i], _ = vector.KindOf(lt[ch])
+		keyKinds[i] = vector.KindOf(lt[ch])
 	}
-	return &vectorJoinOperator{
+	o := &vectorJoinOperator{
 		node:       node,
 		left:       left,
 		right:      right,
-		mem:        mem,
+		mem:        newOpMem("the build side of a join", ctx),
 		leftTypes:  lt,
 		rightTypes: rt,
+		rightKinds: rightKinds,
 		keyKinds:   keyKinds,
-		cols:       cols,
-		jt:         vector.NewJoinTable(keyCols),
 		rowViews:   newViews(len(ro)),
+		insViews:   make([]*vector.View, len(node.RightKeys)),
 		keyViews:   newViews(len(node.LeftKeys)),
 	}
+	o.resetStore()
+	return o
 }
 
-// build consumes the build side into the column stores and join table,
-// charging retained bytes as it grows. The first refused reservation hands
-// the operator over to the row reference implementation (degrade), whose
-// spill machinery is built for exactly that regime.
-func (o *vectorJoinOperator) build() error {
-	rightKinds := make([]vector.Kind, len(o.rightTypes))
+// resetStore replaces the build store with an empty one.
+func (o *vectorJoinOperator) resetStore() {
+	o.cols = make([]*vector.Column, len(o.rightTypes))
 	for i, t := range o.rightTypes {
-		rightKinds[i], _ = vector.KindOf(t)
+		o.cols[i] = vector.NewColumn(t)
 	}
-	insViews := make([]*vector.View, len(o.node.RightKeys))
+	keyCols := make([]*vector.Column, len(o.node.RightKeys))
+	for i, ch := range o.node.RightKeys {
+		keyCols[i] = o.cols[ch]
+	}
+	o.jt = vector.NewJoinTable(keyCols)
+	o.rows = 0
+}
+
+// appendBuild compacts one build page into the store and indexes it.
+func (o *vectorJoinOperator) appendBuild(p *block.Page) error {
+	n := p.Count()
+	if cap(o.hashes) < n {
+		o.hashes = make([]uint64, n)
+	}
+	hashes := o.hashes[:n]
+	o.hasher.HashPage(p, o.node.RightKeys, hashes)
+	for c, col := range o.cols {
+		if err := viewOf(p.Blocks[c], o.rightKinds[c], n, o.rowViews[c]); err != nil {
+			return err
+		}
+		col.Append(o.rowViews[c], n)
+	}
+	for i, ch := range o.node.RightKeys {
+		o.insViews[i] = o.rowViews[ch]
+	}
+	o.jt.Insert(o.insViews, n, hashes, o.rows)
+	o.rows += n
+	return nil
+}
+
+// build consumes the build side into the store, charging retained bytes as
+// it grows. The first refused reservation switches to multi-pass mode.
+func (o *vectorJoinOperator) build() error {
 	for {
 		p, err := o.right.Next()
 		if errors.Is(err, io.EOF) {
@@ -135,71 +164,142 @@ func (o *vectorJoinOperator) build() error {
 		if err != nil {
 			return err
 		}
-		n := p.Count()
-		if n == 0 {
+		if p.Count() == 0 {
 			continue
 		}
-		if cap(o.hashes) < n {
-			o.hashes = make([]uint64, n)
-		}
-		hashes := o.hashes[:n]
-		o.hasher.HashPage(p, o.node.RightKeys, hashes)
-		for c := range o.cols {
-			if err := viewOf(p.Blocks[c], rightKinds[c], n, o.rowViews[c]); err != nil {
+		if o.spilled {
+			if err := o.bufferPage(p, &o.buildSpill, "join-build"); err != nil {
 				return err
 			}
+			continue
 		}
-		base := o.rows
-		for c, col := range o.cols {
-			col.Append(o.rowViews[c], n)
+		before := o.rows
+		if err := o.appendBuild(p); err != nil {
+			return err
 		}
-		for i, ch := range o.node.RightKeys {
-			insViews[i] = o.rowViews[ch]
-		}
-		o.jt.Insert(insViews, n, hashes, base)
-		o.rows += n
-
-		var held int64
+		held := o.jt.Bytes()
 		for _, col := range o.cols {
 			held += col.Bytes()
 		}
-		held += o.jt.Bytes()
 		delta := held - o.charged
 		o.charged = held
-		if delta <= 0 {
-			continue
-		}
 		ok, err := o.mem.reserve(delta)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return o.degrade()
+			// The store as it was before p — which fit — becomes the first
+			// build run; p and the rest of the build side are buffered as
+			// pages from here on.
+			o.spilled = true
+			if err := o.spillStore(before); err != nil {
+				return err
+			}
+			if err := o.bufferPage(p, &o.buildSpill, "join-build"); err != nil {
+				return err
+			}
 		}
+	}
+	if o.spilled {
+		// The leftover buffered pages become the last run: the multi-pass
+		// phase hard-reserves one full chunk at a time, so entering it with
+		// build pages still charged would double-count against the cap that
+		// just forced the spill.
+		if err := o.spillPages(&o.buildSpill, "join-build"); err != nil {
+			return err
+		}
+		return o.bufferProbe()
 	}
 	return nil
 }
 
-// degrade synthesizes the compacted build side back into pages, releases
-// the vector state, and replays everything (plus the unread remainder of
-// the build stream) into a row joinOperator — which immediately faces the
-// same memory pressure and takes its multi-pass spill path.
-func (o *vectorJoinOperator) degrade() error {
-	var pages []*block.Page
-	for from := 0; from < o.rows; from += spillPageRows {
-		to := min(from+spillPageRows, o.rows)
+// spillStore writes the store's first rows rows out as one build run, then
+// drops the store and its reservation.
+func (o *vectorJoinOperator) spillStore(rows int) error {
+	for from := 0; from < rows; from += spillPageRows {
+		to := min(from+spillPageRows, rows)
 		blocks := make([]block.Block, len(o.cols))
 		for c, col := range o.cols {
 			blocks[c] = col.Block(from, to)
 		}
-		pages = append(pages, &block.Page{Blocks: blocks, N: to - from})
+		o.buildSpill.pages = append(o.buildSpill.pages, &block.Page{Blocks: blocks, N: to - from})
 	}
-	o.cols, o.jt = nil, nil
+	o.resetStore()
 	o.charged = 0
 	o.mem.releaseAll()
-	replay := &pageReplayOperator{pages: pages, rest: o.right}
-	o.fallback = newJoinOperator(o.node, o.left, replay, o.mem)
+	return o.spillPages(&o.buildSpill, "join-build")
+}
+
+// bufferPage holds p in s's memory, first spilling s's buffered pages to a
+// run when its reservation is refused.
+func (o *vectorJoinOperator) bufferPage(p *block.Page, s *pageStream, tag string) error {
+	sz := int64(p.SizeBytes())
+	ok, err := o.mem.reserve(sz)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		if err := o.spillPages(s, tag); err != nil {
+			return err
+		}
+		if err := o.mem.hardReserve(sz); err != nil {
+			return err
+		}
+	}
+	s.pages = append(s.pages, p)
+	s.bytes += sz
 	return nil
+}
+
+// spillPages writes s's in-memory pages out as one run and frees their
+// reservation.
+func (o *vectorJoinOperator) spillPages(s *pageStream, tag string) error {
+	if len(s.pages) == 0 {
+		return nil
+	}
+	w, err := o.mem.newRun(tag)
+	if err != nil {
+		return err
+	}
+	for _, p := range s.pages {
+		if err := w.WritePage(p); err != nil {
+			w.Abandon()
+			return o.mem.fail(err)
+		}
+	}
+	run, err := w.Finish()
+	if err != nil {
+		return err
+	}
+	s.runs = append(s.runs, run)
+	o.mem.addSpilled(run.Bytes())
+	s.pages = s.pages[:0]
+	o.mem.release(s.bytes)
+	s.bytes = 0
+	return nil
+}
+
+// bufferProbe consumes the whole probe side into a replayable stream,
+// spilling under the same memory pressure as the build side. The leftovers
+// go to disk too: chunk loading hard-reserves up to the full budget, so the
+// probe stream is read back one page at a time per replay.
+func (o *vectorJoinOperator) bufferProbe() error {
+	for {
+		p, err := o.left.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		if p.Count() == 0 {
+			continue
+		}
+		if err := o.bufferPage(p, &o.probeSpill, "join-probe"); err != nil {
+			return err
+		}
+	}
+	return o.spillPages(&o.probeSpill, "join-probe")
 }
 
 func (o *vectorJoinOperator) Next() (*block.Page, error) {
@@ -209,112 +309,320 @@ func (o *vectorJoinOperator) Next() (*block.Page, error) {
 		}
 		o.built = true
 	}
-	if o.fallback != nil {
-		return o.fallback.Next()
+	if o.spilled {
+		return o.spilledNext()
 	}
 	for {
-		if len(o.pending) > 0 {
-			p := o.pending[0]
-			o.pending = o.pending[1:]
-			return p, nil
+		if o.probe != nil {
+			out, err := o.nextBatch()
+			if err != nil || out != nil {
+				return out, err
+			}
+			p := o.probe
+			o.probe = nil
+			if o.node.Kind == planner.JoinLeft {
+				if out := o.unmatchedPage(p, 0); out != nil {
+					return out, nil
+				}
+			}
+			continue
 		}
 		p, err := o.left.Next()
 		if err != nil {
 			return nil, err
 		}
-		if err := o.probePage(p); err != nil {
+		if p.Count() == 0 {
+			continue
+		}
+		if n := p.Count(); o.node.Kind == planner.JoinLeft {
+			if cap(o.matched) < n {
+				o.matched = make([]bool, n)
+			}
+			o.matched = o.matched[:n]
+			clear(o.matched)
+		}
+		if err := o.startProbe(p, 0); err != nil {
 			return nil, err
 		}
 	}
 }
 
-// probePage matches one probe page, queueing the matched page and (for LEFT
-// joins) the null-extended unmatched page.
-func (o *vectorJoinOperator) probePage(p *block.Page) error {
-	n := p.Count()
-	if n == 0 {
-		return nil
+// spilledNext drives the multi-pass join: one replay of the probe stream per
+// build chunk, then (for LEFT joins) a final replay emitting unmatched rows.
+func (o *vectorJoinOperator) spilledNext() (*block.Page, error) {
+	for {
+		if o.probe != nil {
+			out, err := o.nextBatch()
+			if err != nil || out != nil {
+				return out, err
+			}
+			o.probe = nil
+		}
+		if o.probeIter != nil {
+			p, err := o.probeIter.next()
+			if err == nil {
+				base := o.probeBase
+				o.probeBase += p.Count()
+				o.growMatched(base + p.Count())
+				if o.finalLeft {
+					if out := o.unmatchedPage(p, base); out != nil {
+						return out, nil
+					}
+					continue
+				}
+				if err := o.startProbe(p, base); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			if !errors.Is(err, io.EOF) {
+				return nil, err
+			}
+			if cerr := o.probeIter.close(); cerr != nil {
+				return nil, cerr
+			}
+			o.probeIter = nil
+			o.probeBase = 0
+			o.releaseChunk()
+			if o.finalLeft {
+				return nil, io.EOF
+			}
+		}
+		ok, err := o.loadNextChunk()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			if o.node.Kind == planner.JoinLeft && !o.finalLeft {
+				o.finalLeft = true
+				o.probeIter = o.probeSpill.iter()
+				continue
+			}
+			return nil, io.EOF
+		}
+		o.probeIter = o.probeSpill.iter()
 	}
+}
+
+func (o *vectorJoinOperator) growMatched(n int) {
+	if o.node.Kind != planner.JoinLeft || n <= len(o.matched) {
+		return
+	}
+	o.matched = append(o.matched, make([]bool, n-len(o.matched))...)
+}
+
+// loadNextChunk loads the next spilled build run back into the store (with
+// a hard reservation of its pages' size, removed once read). Reports false
+// when no chunks remain.
+func (o *vectorJoinOperator) loadNextChunk() (bool, error) {
+	for o.chunkIdx < len(o.buildSpill.runs) {
+		run := o.buildSpill.runs[o.chunkIdx]
+		o.chunkIdx++
+		rr, err := run.Open()
+		if err != nil {
+			return false, err
+		}
+		o.resetStore()
+		var bytes int64
+		for {
+			p, err := rr.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err == nil {
+				sz := int64(p.SizeBytes())
+				if err = o.mem.hardReserve(sz); err == nil {
+					bytes += sz
+					err = o.appendBuild(p)
+				}
+			}
+			if err != nil {
+				o.mem.release(bytes)
+				return false, errors.Join(err, rr.Close())
+			}
+		}
+		if err := rr.Close(); err != nil {
+			o.mem.release(bytes)
+			return false, err
+		}
+		run.Remove()
+		o.chunkBytes = bytes
+		if o.rows == 0 {
+			o.releaseChunk()
+			continue
+		}
+		return true, nil
+	}
+	return false, nil
+}
+
+// releaseChunk frees the chunk loaded by loadNextChunk.
+func (o *vectorJoinOperator) releaseChunk() {
+	o.mem.release(o.chunkBytes)
+	o.chunkBytes = 0
+	o.resetStore()
+}
+
+// startProbe hashes probe page p (rows base.. of the probe stream) and
+// positions the bounded probe at its first row.
+func (o *vectorJoinOperator) startProbe(p *block.Page, base int) error {
+	n := p.Count()
 	if cap(o.hashes) < n {
 		o.hashes = make([]uint64, n)
 	}
-	hashes := o.hashes[:n]
-	o.hasher.HashPage(p, o.node.LeftKeys, hashes)
+	o.hasher.HashPage(p, o.node.LeftKeys, o.hashes[:n])
 	for i, ch := range o.node.LeftKeys {
 		if err := viewOf(p.Blocks[ch], o.keyKinds[i], n, o.keyViews[i]); err != nil {
 			return err
 		}
 	}
-	isLeft := o.node.Kind == planner.JoinLeft
-	var matched []bool
-	if isLeft {
-		if cap(o.matched) < n {
-			o.matched = make([]bool, n)
-		}
-		matched = o.matched[:n]
-		for r := range matched {
-			matched[r] = false
-		}
-	}
-	probeSel, buildRows := o.jt.Probe(o.keyViews, n, hashes, o.probeSel[:0], nil, matched)
-	o.probeSel = probeSel[:0] // retain capacity for the next page
-	if len(probeSel) > 0 {
-		blocks := make([]block.Block, len(o.leftTypes)+len(o.rightTypes))
-		for c := range o.leftTypes {
-			blocks[c] = p.Blocks[c].Mask(probeSel)
-		}
-		for c, col := range o.cols {
-			blocks[len(o.leftTypes)+c] = col.Gather(buildRows)
-		}
-		o.pending = append(o.pending, &block.Page{Blocks: blocks, N: len(probeSel)})
-	}
-	if isLeft {
-		unmatched := o.extraSel[:0]
-		for r := 0; r < n; r++ {
-			if !matched[r] {
-				unmatched = append(unmatched, r)
-			}
-		}
-		o.extraSel = unmatched[:0]
-		if len(unmatched) > 0 {
-			blocks := make([]block.Block, len(o.leftTypes)+len(o.rightTypes))
-			for c := range o.leftTypes {
-				blocks[c] = p.Blocks[c].Mask(unmatched)
-			}
-			for c, t := range o.rightTypes {
-				blocks[len(o.leftTypes)+c] = vector.NullBlock(t, len(unmatched))
-			}
-			o.pending = append(o.pending, &block.Page{Blocks: blocks, N: len(unmatched)})
-		}
-	}
+	o.probe, o.base, o.cur, o.probeDone = p, base, vector.ProbeCursor{}, false
 	return nil
 }
 
+// nextBatch returns the next non-empty joined batch of the probe page in
+// flight, or nil once the page is exhausted.
+func (o *vectorJoinOperator) nextBatch() (*block.Page, error) {
+	p, n := o.probe, o.probe.Count()
+	for !o.probeDone {
+		sel, rows, done := o.jt.Probe(o.keyViews, n, o.hashes[:n], &o.cur, max(n, joinBatchRows), o.probeSel[:0], o.buildRows[:0])
+		o.probeSel, o.buildRows, o.probeDone = sel, rows, done
+		if len(sel) == 0 {
+			continue
+		}
+		nl := len(o.leftTypes)
+		blocks := make([]block.Block, nl+len(o.cols))
+		for c := 0; c < nl; c++ {
+			blocks[c] = p.Blocks[c].Mask(sel)
+		}
+		for c, col := range o.cols {
+			blocks[nl+c] = col.Gather(rows)
+		}
+		out := &block.Page{Blocks: blocks, N: len(sel)}
+		if o.node.Residual != nil {
+			keep, err := expr.EvalFilterInto(o.node.Residual, out, o.keep)
+			if err != nil {
+				return nil, err
+			}
+			o.keep = keep
+			if len(keep) < len(sel) {
+				out = out.Mask(keep)
+				for i, k := range keep {
+					sel[i] = sel[k]
+				}
+				sel = sel[:len(keep)]
+			}
+		}
+		if o.node.Kind == planner.JoinLeft {
+			for _, r := range sel {
+				o.matched[o.base+r] = true
+			}
+		}
+		if len(sel) > 0 {
+			return out, nil
+		}
+	}
+	return nil, nil
+}
+
+// unmatchedPage null-extends the rows of probe page p (rows base.. of the
+// probe stream) that matched nothing, or returns nil when all matched.
+func (o *vectorJoinOperator) unmatchedPage(p *block.Page, base int) *block.Page {
+	sel := o.unmatched[:0]
+	for r := 0; r < p.Count(); r++ {
+		if !o.matched[base+r] {
+			sel = append(sel, r)
+		}
+	}
+	o.unmatched = sel
+	if len(sel) == 0 {
+		return nil
+	}
+	nl := len(o.leftTypes)
+	blocks := make([]block.Block, nl+len(o.cols))
+	for c := 0; c < nl; c++ {
+		blocks[c] = p.Blocks[c].Mask(sel)
+	}
+	for c, t := range o.rightTypes {
+		blocks[nl+c] = vector.NullBlock(t, len(sel))
+	}
+	return &block.Page{Blocks: blocks, N: len(sel)}
+}
+
 func (o *vectorJoinOperator) Close() error {
-	if o.fallback != nil {
-		// The fallback owns left and (via the replay wrapper) right.
-		return o.fallback.Close()
+	var errs []error
+	if o.probeIter != nil {
+		errs = append(errs, o.probeIter.close())
+		o.probeIter = nil
+	}
+	for _, s := range []*pageStream{&o.buildSpill, &o.probeSpill} {
+		for _, r := range s.runs {
+			r.Remove()
+		}
 	}
 	o.mem.releaseAll()
-	return errors.Join(o.left.Close(), o.right.Close())
+	errs = append(errs, o.left.Close(), o.right.Close())
+	return errors.Join(errs...)
 }
 
-// pageReplayOperator serves buffered pages, then streams from rest — the
-// degrade path's bridge from the compacted store back to a page stream.
-type pageReplayOperator struct {
+// pageStream is a replayable page sequence split between spilled runs and
+// in-memory pages (runs first — they hold the earlier input, preserving the
+// original order); bytes is the reservation its in-memory pages hold.
+type pageStream struct {
+	runs  []*resource.Run
 	pages []*block.Page
-	idx   int
-	rest  Operator
+	bytes int64
 }
 
-func (o *pageReplayOperator) Next() (*block.Page, error) {
-	if o.idx < len(o.pages) {
-		p := o.pages[o.idx]
-		o.pages[o.idx] = nil
-		o.idx++
+func (s *pageStream) iter() *streamIter { return &streamIter{s: s} }
+
+// streamIter walks a pageStream, holding one spilled page at a time. The
+// read-back page is transient engine overhead (one bounded frame), not user
+// memory — charging it against the cap that forced the spill would deadlock
+// the replay. Runs are not removed — the stream is replayed per chunk.
+type streamIter struct {
+	s      *pageStream
+	runIdx int
+	rr     *resource.RunReader
+	memIdx int
+}
+
+func (it *streamIter) next() (*block.Page, error) {
+	for it.runIdx < len(it.s.runs) {
+		if it.rr == nil {
+			rr, err := it.s.runs[it.runIdx].Open()
+			if err != nil {
+				return nil, err
+			}
+			it.rr = rr
+		}
+		p, err := it.rr.Next()
+		if errors.Is(err, io.EOF) {
+			if cerr := it.rr.Close(); cerr != nil {
+				return nil, cerr
+			}
+			it.rr = nil
+			it.runIdx++
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
 		return p, nil
 	}
-	return o.rest.Next()
+	if it.memIdx < len(it.s.pages) {
+		p := it.s.pages[it.memIdx]
+		it.memIdx++
+		return p, nil
+	}
+	return nil, io.EOF
 }
 
-func (o *pageReplayOperator) Close() error { return o.rest.Close() }
+func (it *streamIter) close() error {
+	if it.rr != nil {
+		err := it.rr.Close()
+		it.rr = nil
+		return err
+	}
+	return nil
+}

@@ -77,7 +77,7 @@ func EvalFilterInto(e RowExpression, page *block.Page, buf []int) ([]int, error)
 }
 
 // EvalRowValue evaluates e against a single boxed row (used by the
-// row-at-a-time baseline and by tests).
+// planner's constant folding and by tests).
 func EvalRowValue(e RowExpression, row []any) (any, error) {
 	page := singleRowPage(row)
 	b, err := Eval(e, page)
